@@ -9,7 +9,7 @@ of ``PNLApply``, which re-opens per outer row).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .. import faultinject
 from ..algebra.aggregates import descriptor
@@ -22,7 +22,8 @@ from ..physical.plan import (PConstantScan, PDifference, PFilter,
                              PMax1row, PNestedLoopsJoin, PNLApply, PProject,
                              PScalarAggregate, PSegmentApply, PSegmentRef,
                              PSort, PStreamAggregate, PTableScan, PTop,
-                             PUnionAll, PhysicalOp)
+                             PUnionAll, PhysicalOp, apply_bindings_key,
+                             outer_references)
 from ..storage.table import Storage
 from .expressions import build_layout, compile_expr
 from .naive import _SortValue
@@ -185,39 +186,37 @@ class PhysicalExecutor:
             raise ExecutionError(
                 f"no index on {plan.table_name}({', '.join(names)})")
         layout = build_layout(plan.columns)
-        key_fns = [compile_expr(e, {}) for e in plan.key_exprs]
-        position_for = {table.definition.column_index(c.name): fn
-                        for c, fn in zip(plan.key_columns, key_fns)}
+        fn_for = {table.definition.column_index(c.name): compile_expr(e, {})
+                  for c, e in zip(plan.key_columns, plan.key_exprs)}
         residual = (compile_expr(plan.residual, layout)
                     if plan.residual is not None else None)
         empty = ()
         # Table versions are immutable once installed, so the per-version
-        # index resolution is memoized as one atomically-swapped tuple;
-        # concurrent runs over different snapshots stay consistent because
-        # each reads the (version, index) pair it resolved.
-        resolved: tuple = (None, None)
+        # resolution — the index, and the key expressions in its column
+        # order — is memoized as one atomically-swapped tuple; concurrent
+        # runs over different snapshots stay consistent because each
+        # reads the (version, index, key order) triple it resolved.
+        resolved: tuple = (None, None, None)
 
         def rows(ctx: ExecutionContext) -> Iterator[tuple]:
             nonlocal resolved
             table = ctx.storage.get(name)
-            cached_table, index = resolved
+            cached_table, index, key_fns = resolved
             if table is not cached_table:
                 index = table.key_lookup_index(names)
                 if index is None:
                     raise ExecutionError(
                         f"no index on {name}({', '.join(names)})")
-                resolved = (table, index)
+                key_fns = [fn_for[p] for p in index.positions]
+                resolved = (table, index, key_fns)
             governor = ctx.governor
-            values = {p: fn(empty, ctx.params)
-                      for p, fn in position_for.items()}
-            key = tuple(values[p] for p in index.positions)
-            positions = index.lookup(key)
+            params = ctx.params
+            positions = index.lookup(
+                tuple([fn(empty, params) for fn in key_fns]))
             if governor is not None and positions:
                 governor.consume_rows(len(positions))
-            table_rows = table.rows
-            for position in positions:
-                row = table_rows[position]
-                if residual is None or residual(row, ctx.params) is True:
+            for row in table.rows_at(positions):
+                if residual is None or residual(row, params) is True:
                     yield row
         return _Executable(rows)
 
@@ -362,43 +361,10 @@ class PhysicalExecutor:
     def _prepare_PNLApply(self, plan: PNLApply) -> _Executable:
         left = self.prepare(plan.left)
         right = self.prepare(plan.right)
-        left_cids = [c.cid for c in plan.left.columns]
-        left_layout = build_layout(plan.left.columns)
-        combined_layout = build_layout(
-            list(plan.left.columns) + list(plan.right.columns))
-        predicate = (compile_expr(plan.predicate, combined_layout)
-                     if plan.predicate is not None else None)
-        guard = (compile_expr(plan.guard, left_layout)
-                 if plan.guard is not None else None)
-        kind = plan.kind
-        pad = (None,) * len(plan.right.columns)
+        loop = compile_apply_loop(plan, right.rows)
 
         def rows(ctx: ExecutionContext) -> Iterator[tuple]:
-            params = ctx.params
-            governor = ctx.governor
-            # Cooperative checks per outer row: correlated loops can spin
-            # for a long time without touching a guarded scan.  Charged
-            # in small batches so the per-row cost is an integer add.
-            interval = min(64, governor.check_interval) if governor else 0
-            pending = 0
-            try:
-                for row in left.rows(ctx):
-                    if governor is not None:
-                        pending += 1
-                        if pending >= interval:
-                            governor.consume_rows(pending)
-                            pending = 0
-                    if guard is not None and guard(row, params) is not True:
-                        yield row + pad  # §2.4: inner side never evaluated
-                        continue
-                    for cid, value in zip(left_cids, row):
-                        params[cid] = value
-                    inner = right.rows(ctx)
-                    yield from _loop_join_row(row, inner, predicate, params,
-                                              kind, pad)
-            finally:
-                if pending:
-                    governor.consume_rows(pending)
+            return loop(ctx, left.rows(ctx))
         return _Executable(rows)
 
     def _prepare_PHashAggregate(self, plan: PHashAggregate) -> _Executable:
@@ -647,6 +613,69 @@ class PhysicalExecutor:
                 if governor is not None:
                     governor.release_rows(held)
         return _Executable(rows)
+
+
+def compile_apply_loop(plan: PNLApply,
+                       inner: Callable[[ExecutionContext], Iterator[tuple]]
+                       ) -> Callable[[ExecutionContext, Iterable[tuple]],
+                                     Iterator[tuple]]:
+    """The correlated nested loop of ``plan`` over a prepared inner side.
+
+    Returns ``loop(ctx, left_rows)``: per left row, evaluate the guard,
+    bind the columns the inner side references as parameters, re-open
+    ``inner`` and join.  Shared by the tuple engine and the vectorized
+    engine's per-row Apply path.
+    """
+    left_layout = build_layout(plan.left.columns)
+    referenced = outer_references(plan.right)
+    bindings = [(cid, position) for cid, position in left_layout.items()
+                if cid in referenced]
+    combined_layout = build_layout(
+        list(plan.left.columns) + list(plan.right.columns))
+    predicate = (compile_expr(plan.predicate, combined_layout)
+                 if plan.predicate is not None else None)
+    guard = (compile_expr(plan.guard, left_layout)
+             if plan.guard is not None else None)
+    kind = plan.kind
+    pad = (None,) * len(plan.right.columns)
+    executions_key = apply_bindings_key(plan)
+
+    def loop(ctx: ExecutionContext,
+             left_rows: Iterable[tuple]) -> Iterator[tuple]:
+        params = ctx.params
+        governor = ctx.governor
+        # Cooperative checks per outer row: correlated loops can spin
+        # for a long time without touching a guarded scan.  Charged
+        # in small batches so the per-row cost is an integer add.
+        interval = min(64, governor.check_interval) if governor else 0
+        pending = 0
+        executions = 0
+        try:
+            for row in left_rows:
+                if governor is not None:
+                    pending += 1
+                    if pending >= interval:
+                        governor.consume_rows(pending)
+                        pending = 0
+                if guard is not None and guard(row, params) is not True:
+                    yield row + pad  # §2.4: inner side never evaluated
+                    continue
+                for cid, position in bindings:
+                    params[cid] = row[position]
+                executions += 1
+                yield from _loop_join_row(row, inner(ctx), predicate,
+                                          params, kind, pad)
+        finally:
+            profile = ctx.profile
+            if profile is not None:
+                # How often the inner side ran: feedback divides the
+                # inner nodes' cumulative actuals by it (repro.feedback).
+                profile[executions_key] = (profile.get(executions_key, 0)
+                                           + executions)
+            if pending:
+                governor.consume_rows(pending)
+
+    return loop
 
 
 def _loop_join_row(row: tuple, inner_rows, predicate, params,

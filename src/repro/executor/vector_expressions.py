@@ -27,7 +27,7 @@ scalar execution.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Mapping
 
 from ..algebra.datatypes import (ARITHMETIC_FUNCTIONS, sql_and, sql_compare,
                                  sql_not, sql_or)
@@ -54,8 +54,17 @@ _COMPARE_FUNCTIONS = {
 }
 
 
-def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
-    """Compile ``expr`` against a batch layout (column id → column position)."""
+def compile_vector(expr: ScalarExpr, layout: Layout,
+                   bound: AbstractSet[int] = frozenset()) -> CompiledVector:
+    """Compile ``expr`` against a batch layout (column id → column position).
+
+    ``bound`` names the correlation columns a batched Apply
+    (:mod:`.batched_apply`) binds set-at-a-time: for those,
+    ``params[cid]`` holds one value *per distinct binding* and the
+    batch's leading column holds each row's binding ordinal, so the
+    reference compiles to a gather through the ordinal instead of a
+    broadcast scalar.
+    """
     if isinstance(expr, Literal):
         value = expr.value
         return lambda batch, params: [value] * batch.nrows
@@ -65,6 +74,9 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
         if cid in layout:
             position = layout[cid]
             return lambda batch, params: batch.columns[position]
+        if cid in bound:
+            return lambda batch, params: list(
+                map(params[cid].__getitem__, batch.columns[0]))
 
         def read_param(batch: "Batch", params: Mapping[int, Any]) -> list:
             try:
@@ -92,7 +104,7 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
         # Literal operands are common (filter constants) and hoistable.
         if isinstance(expr.right, Literal):
             rv = expr.right.value
-            left = compile_vector(expr.left, layout)
+            left = compile_vector(expr.left, layout, bound)
             if rv is None:
                 return lambda batch, params: [None] * batch.nrows
             return lambda batch, params: [
@@ -100,20 +112,20 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
                 for a in left(batch, params)]
         if isinstance(expr.left, Literal):
             lv = expr.left.value
-            right = compile_vector(expr.right, layout)
+            right = compile_vector(expr.right, layout, bound)
             if lv is None:
                 return lambda batch, params: [None] * batch.nrows
             return lambda batch, params: [
                 None if b is None else fn(lv, b)
                 for b in right(batch, params)]
-        left = compile_vector(expr.left, layout)
-        right = compile_vector(expr.right, layout)
+        left = compile_vector(expr.left, layout, bound)
+        right = compile_vector(expr.right, layout, bound)
         return lambda batch, params: [
             None if a is None or b is None else fn(a, b)
             for a, b in zip(left(batch, params), right(batch, params))]
 
     if isinstance(expr, And):
-        compiled = [compile_vector(a, layout) for a in expr.args]
+        compiled = [compile_vector(a, layout, bound) for a in expr.args]
 
         def eval_and(batch: "Batch", params: Mapping[int, Any]) -> list:
             acc = list(compiled[0](batch, params))
@@ -127,7 +139,7 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
         return eval_and
 
     if isinstance(expr, Or):
-        compiled = [compile_vector(a, layout) for a in expr.args]
+        compiled = [compile_vector(a, layout, bound) for a in expr.args]
 
         def eval_or(batch: "Batch", params: Mapping[int, Any]) -> list:
             acc = list(compiled[0](batch, params))
@@ -140,12 +152,12 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
         return eval_or
 
     if isinstance(expr, Not):
-        inner = compile_vector(expr.arg, layout)
+        inner = compile_vector(expr.arg, layout, bound)
         return lambda batch, params: [sql_not(v)
                                       for v in inner(batch, params)]
 
     if isinstance(expr, IsNull):
-        inner = compile_vector(expr.arg, layout)
+        inner = compile_vector(expr.arg, layout, bound)
         if expr.negated:
             return lambda batch, params: [v is not None
                                           for v in inner(batch, params)]
@@ -156,30 +168,30 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
         fn = ARITHMETIC_FUNCTIONS[expr.op]
         if isinstance(expr.right, Literal) and expr.right.value is not None:
             rv = expr.right.value
-            left = compile_vector(expr.left, layout)
+            left = compile_vector(expr.left, layout, bound)
             return lambda batch, params: [fn(a, rv)
                                           for a in left(batch, params)]
         if isinstance(expr.left, Literal) and expr.left.value is not None:
             lv = expr.left.value
-            right = compile_vector(expr.right, layout)
+            right = compile_vector(expr.right, layout, bound)
             return lambda batch, params: [fn(lv, b)
                                           for b in right(batch, params)]
-        left = compile_vector(expr.left, layout)
-        right = compile_vector(expr.right, layout)
+        left = compile_vector(expr.left, layout, bound)
+        right = compile_vector(expr.right, layout, bound)
         return lambda batch, params: [
             fn(a, b)
             for a, b in zip(left(batch, params), right(batch, params))]
 
     if isinstance(expr, Negate):
-        inner = compile_vector(expr.arg, layout)
+        inner = compile_vector(expr.arg, layout, bound)
         return lambda batch, params: [None if v is None else -v
                                       for v in inner(batch, params)]
 
     if isinstance(expr, Case):
-        compiled_whens = [(compile_vector(c, layout),
-                           compile_vector(v, layout))
+        compiled_whens = [(compile_vector(c, layout, bound),
+                           compile_vector(v, layout, bound))
                           for c, v in expr.whens]
-        otherwise = (compile_vector(expr.otherwise, layout)
+        otherwise = (compile_vector(expr.otherwise, layout, bound)
                      if expr.otherwise is not None else None)
 
         def eval_case(batch: "Batch", params: Mapping[int, Any]) -> list:
@@ -208,14 +220,14 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
         return eval_case
 
     if isinstance(expr, Extract):
-        inner = compile_vector(expr.arg, layout)
+        inner = compile_vector(expr.arg, layout, bound)
         part = expr.part
         return lambda batch, params: [
             None if v is None else getattr(v, part)
             for v in inner(batch, params)]
 
     if isinstance(expr, Like):
-        inner = compile_vector(expr.arg, layout)
+        inner = compile_vector(expr.arg, layout, bound)
         match = _like_regex(expr.pattern).fullmatch
         if expr.negated:
             return lambda batch, params: [
@@ -226,7 +238,7 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
             for v in inner(batch, params)]
 
     if isinstance(expr, InList):
-        inner = compile_vector(expr.arg, layout)
+        inner = compile_vector(expr.arg, layout, bound)
         values = expr.values
         has_null = any(v is None for v in values)
         non_null = frozenset(v for v in values if v is not None)

@@ -15,11 +15,12 @@ executor — same values (shared scalar semantics via
 output order.  The differential oracle (tests/test_differential.py)
 enforces this across randomly generated queries and the TPC-H corpus.
 
-Operators whose work is inherently per-row — correlated ``NLApply``,
-uncorrelated nested loops, full sorts and Top-N — bridge to row form and
-reuse the tuple executor's loops; the batched representation pays off on
-the scan/filter/project/hash-join/aggregate spine, which is where the
-decorrelated plans of the paper spend their time.
+Uncorrelated nested loops, full sorts and Top-N bridge to row form and
+reuse the tuple executor's loops.  Correlated ``NLApply`` — what is left
+of the paper's Apply after normalization, and every index nested-loops
+join — runs set-at-a-time: one outer batch's distinct bindings through
+the inner plan at once (:mod:`.batched_apply`); only inner plans with
+an operator that has no batched form loop per outer row.
 
 Invariants:
 
@@ -41,27 +42,30 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (AbstractSet, Any, Callable, Iterable, Iterator, Optional,
+                    Sequence)
 
 from .. import faultinject
 from ..algebra.aggregates import AggregateFunction, descriptor
 from ..algebra.columns import Column
 from ..algebra.relational import JoinKind
 from ..algebra.scalar import AggregateCall, parameter_slot
-from ..errors import ExecutionError, SubqueryReturnedMultipleRows
+from ..errors import (ExecutionError, InjectedFault, ResourceError,
+                      SubqueryReturnedMultipleRows)
 from ..physical.plan import (PConstantScan, PDifference, PFilter,
                              PHashAggregate, PHashJoin, PIndexSeek,
                              PMax1row, PNestedLoopsJoin, PNLApply, PProject,
                              PScalarAggregate, PSegmentApply, PSegmentRef,
                              PSort, PStreamAggregate, PTableScan, PTop,
-                             PTopN, PUnionAll, PhysicalOp)
+                             PTopN, PUnionAll, PhysicalOp,
+                             apply_bindings_key)
 from ..storage.columnar import ScanUnit, compile_zone_filters
 from ..storage.table import Storage
 from .expressions import build_layout, compile_expr
 from .morsel import run_morsels
 from .naive import _SortValue
 from .physical import (ExecutionContext, PhysicalExecutor, _loop_join_row,
-                       _TopNEntry)
+                       _TopNEntry, compile_apply_loop)
 from .vector_expressions import compile_vector, split_conjuncts
 
 DEFAULT_BATCH_SIZE = 1024
@@ -141,6 +145,92 @@ def _key_iter(batch: Batch, positions: list[int]):
     return itertools.repeat((), batch.nrows)
 
 
+def match_rows(kind: JoinKind, buckets: Sequence[Sequence[int]], lb: Batch,
+               right_cols: list[list], residual, params, pad_index: int,
+               pulled: Optional[list[int]] = None
+               ) -> tuple[list[int], list[int]]:
+    """Pair every left row of ``lb`` with its candidate right rows.
+
+    ``buckets[i]`` holds the right-row indexes (into ``right_cols``) that
+    left row ``i`` may match; ``residual`` (a compiled vector predicate
+    over left columns followed by right columns, or ``None``) decides
+    which candidates do.  Returns parallel index lists ``(li, ri)`` of
+    the emitted pairs, left row order first, bucket order within a row —
+    the order a tuple-at-a-time probe produces.  ``ri`` is meaningful
+    for INNER and LEFT_OUTER only; an unmatched LEFT_OUTER row pairs
+    with ``pad_index``.  Shared by the hash join (buckets from the build
+    table) and the batched Apply (buckets from the binding ordinal).
+
+    ``pulled``, when given for a SEMI/ANTI probe, receives per left row
+    how many candidates a tuple-at-a-time probe would have consumed
+    before stopping at its first match.
+    """
+    li: list[int] = []
+    ri: list[int] = []
+    semi = kind is JoinKind.LEFT_SEMI
+    if residual is None:
+        if kind is JoinKind.INNER or kind is JoinKind.LEFT_OUTER:
+            outer = kind is JoinKind.LEFT_OUTER
+            for i, bucket in enumerate(buckets):
+                if bucket:
+                    li.extend([i] * len(bucket))
+                    ri.extend(bucket)
+                elif outer:
+                    li.append(i)
+                    ri.append(pad_index)
+        else:
+            li = [i for i, bucket in enumerate(buckets)
+                  if bool(bucket) is semi]
+            if pulled is not None:
+                pulled.extend([1 if bucket else 0 for bucket in buckets])
+        return li, ri
+    # Gather all candidate pairs, evaluate the residual once over the
+    # candidate batch, then emit per left row in bucket order.
+    cli: list[int] = []
+    cri: list[int] = []
+    bounds: list[int] = [0]
+    for i, bucket in enumerate(buckets):
+        if bucket:
+            cli.extend([i] * len(bucket))
+            cri.extend(bucket)
+        bounds.append(len(cri))
+    if cri:
+        candidates = Batch(
+            [[col[i] for i in cli] for col in lb.columns] +
+            [[col[j] for j in cri] for col in right_cols],
+            len(cri))
+        mask = residual(candidates, params)
+    else:
+        mask = []
+    if kind is JoinKind.INNER or kind is JoinKind.LEFT_OUTER:
+        outer = kind is JoinKind.LEFT_OUTER
+        for i in range(len(buckets)):
+            matched = False
+            for pos in range(bounds[i], bounds[i + 1]):
+                if mask[pos] is True:
+                    li.append(i)
+                    ri.append(cri[pos])
+                    matched = True
+            if outer and not matched:
+                li.append(i)
+                ri.append(pad_index)
+        return li, ri
+    for i in range(len(buckets)):
+        start, stop = bounds[i], bounds[i + 1]
+        consumed = stop - start
+        matched = False
+        for pos in range(start, stop):
+            if mask[pos] is True:
+                matched = True
+                consumed = pos - start + 1
+                break
+        if matched is semi:
+            li.append(i)
+        if pulled is not None:
+            pulled.append(consumed)
+    return li, ri
+
+
 class _VecExecutable:
     """A prepared operator: ``batches(ctx)`` yields output batches."""
 
@@ -196,10 +286,9 @@ class VectorizedExecutor:
         self._storage = storage
         self._batch_size = batch_size
         self._morsel_workers = morsel_workers
-        # Row-engine sibling for the inner side of correlated Apply: it
-        # re-executes per outer row over a handful of rows, where batch
-        # assembly costs more than it saves (and row form keeps the
-        # tuple engine's lazy inner-side semantics).
+        # Row-engine sibling for the per-row Apply path: inner plans
+        # with no batched form, and the replay of a batch whose batched
+        # inner raised (see _prepare_PNLApply).
         self._row_executor = PhysicalExecutor(storage)
 
     # -- driving ----------------------------------------------------------------
@@ -359,40 +448,40 @@ class VectorizedExecutor:
         if table.key_lookup_index(names) is None:
             raise ExecutionError(
                 f"no index on {plan.table_name}({', '.join(names)})")
-        key_fns = [compile_expr(e, {}) for e in plan.key_exprs]
-        position_for = {table.definition.column_index(c.name): fn
-                        for c, fn in zip(plan.key_columns, key_fns)}
+        fn_for = {table.definition.column_index(c.name): compile_expr(e, {})
+                  for c, e in zip(plan.key_columns, plan.key_exprs)}
         residual = (compile_vector(plan.residual,
                                    build_layout(plan.columns))
                     if plan.residual is not None else None)
         empty = ()
-        # Per-version index memo, swapped atomically (see the tuple
-        # engine's _prepare_PIndexSeek for the concurrency argument).
-        resolved: tuple = (None, None)
+        # Per-version memo of the index and the key expressions in its
+        # column order, swapped atomically (see the tuple engine's
+        # _prepare_PIndexSeek for the concurrency argument).
+        resolved: tuple = (None, None, None)
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             nonlocal resolved
             table = ctx.storage.get(name)
-            cached_table, index = resolved
+            cached_table, index, key_fns = resolved
             if table is not cached_table:
                 index = table.key_lookup_index(names)
                 if index is None:
                     raise ExecutionError(
                         f"no index on {name}({', '.join(names)})")
-                resolved = (table, index)
+                key_fns = [fn_for[p] for p in index.positions]
+                resolved = (table, index, key_fns)
             governor = ctx.governor
-            values = {p: fn(empty, ctx.params)
-                      for p, fn in position_for.items()}
-            key = tuple(values[p] for p in index.positions)
-            positions = index.lookup(key)
+            params = ctx.params
+            positions = index.lookup(
+                tuple([fn(empty, params) for fn in key_fns]))
             if not positions:
                 return
             if governor is not None:
                 governor.consume_rows(len(positions))
-            fetched = [table.rows[p] for p in positions]
+            fetched = table.rows_at(positions)
             batch = Batch([list(c) for c in zip(*fetched)], len(fetched))
             if residual is not None:
-                mask = residual(batch, ctx.params)
+                mask = residual(batch, params)
                 keep = [i for i, v in enumerate(mask) if v is True]
                 if not keep:
                     return
@@ -517,79 +606,11 @@ class VectorizedExecutor:
             try:
                 for lb in left.batches(ctx):
                     keys = zip(*[fn(lb, params) for fn in left_key_fns])
-                    li: list[int] = []
-                    ri: list[int] = []
-                    if residual is None:
-                        for i, k in enumerate(keys):
-                            bucket = (empty_bucket if None in k
-                                      else get_bucket(k, empty_bucket))
-                            if kind is JoinKind.INNER:
-                                if bucket:
-                                    li.extend([i] * len(bucket))
-                                    ri.extend(bucket)
-                            elif kind is JoinKind.LEFT_OUTER:
-                                if bucket:
-                                    li.extend([i] * len(bucket))
-                                    ri.extend(bucket)
-                                else:
-                                    li.append(i)
-                                    ri.append(pad_index)
-                            elif kind is JoinKind.LEFT_SEMI:
-                                if bucket:
-                                    li.append(i)
-                            else:  # LEFT_ANTI
-                                if not bucket:
-                                    li.append(i)
-                    else:
-                        # Gather all candidate pairs, evaluate the
-                        # residual once over the candidate batch, then
-                        # emit per left row in bucket order.
-                        cli: list[int] = []
-                        cri: list[int] = []
-                        bounds: list[tuple[int, int]] = []
-                        for i, k in enumerate(keys):
-                            bucket = (empty_bucket if None in k
-                                      else get_bucket(k, empty_bucket))
-                            start = len(cri)
-                            if bucket:
-                                cli.extend([i] * len(bucket))
-                                cri.extend(bucket)
-                            bounds.append((start, len(cri)))
-                        if cri:
-                            candidates = Batch(
-                                [[col[i] for i in cli]
-                                 for col in lb.columns] +
-                                [[col[j] for j in cri]
-                                 for col in right_cols],
-                                len(cri))
-                            mask = residual(candidates, params)
-                        else:
-                            mask = []
-                        for i, (start, stop) in enumerate(bounds):
-                            if kind is JoinKind.INNER:
-                                for pos in range(start, stop):
-                                    if mask[pos] is True:
-                                        li.append(cli[pos])
-                                        ri.append(cri[pos])
-                            elif kind is JoinKind.LEFT_OUTER:
-                                matched = False
-                                for pos in range(start, stop):
-                                    if mask[pos] is True:
-                                        li.append(cli[pos])
-                                        ri.append(cri[pos])
-                                        matched = True
-                                if not matched:
-                                    li.append(i)
-                                    ri.append(pad_index)
-                            elif kind is JoinKind.LEFT_SEMI:
-                                for pos in range(start, stop):
-                                    if mask[pos] is True:
-                                        li.append(i)
-                                        break
-                            else:  # LEFT_ANTI
-                                if not any(mask[pos] is True
-                                           for pos in range(start, stop)):
-                                    li.append(i)
+                    li, ri = match_rows(
+                        kind,
+                        [empty_bucket if None in k
+                         else get_bucket(k, empty_bucket) for k in keys],
+                        lb, right_cols, residual, params, pad_index)
                     if not li:
                         continue
                     out_cols = [[col[i] for i in li] for col in lb.columns]
@@ -638,61 +659,119 @@ class VectorizedExecutor:
         return _VecExecutable(batches)
 
     def _prepare_PNLApply(self, plan: PNLApply) -> _VecExecutable:
-        left = self.prepare(plan.left)
-        # Inner side runs on the row engine unless it reads a segment
-        # bound by an enclosing vectorized SegmentApply (segments are
-        # stored as batches, which only vectorized SegmentRef can read).
-        if _contains_segment_ref(plan.right):
-            right_vec = self.prepare(plan.right)
+        """Correlated Apply, batched when the inner side allows it.
 
-            def inner_factory(ctx: ExecutionContext) -> Iterator[tuple]:
-                for rb in right_vec.batches(ctx):
-                    yield from batch_rows(rb)
-        else:
-            right_rows = self._row_executor.prepare(plan.right)
-            inner_factory = right_rows.rows
-        left_cids = [c.cid for c in plan.left.columns]
-        left_layout = build_layout(plan.left.columns)
-        combined_layout = build_layout(
-            list(plan.left.columns) + list(plan.right.columns))
-        predicate = (compile_expr(plan.predicate, combined_layout)
-                     if plan.predicate is not None else None)
-        guard = (compile_expr(plan.guard, left_layout)
-                 if plan.guard is not None else None)
-        kind = plan.kind
-        pad = (None,) * len(plan.right.columns)
+        The batched form (:mod:`.batched_apply`) runs the inner plan once
+        per outer batch over the batch's distinct bindings.  Which form
+        runs is fixed here, from the inner plan's operators alone; an
+        inner side without a batched form loops per outer row like the
+        tuple engine.
+
+        Errors keep the tuple engine's position: when the batched inner
+        raises, the batch is replayed per row, the output rows preceding
+        the failing outer row are emitted as a short batch, and the
+        error surfaces on the next pull — so a consumer that stops early
+        (``LIMIT``) never sees an error the tuple engine would not have
+        reached.  Resource-governor verdicts and injected faults are not
+        replayed.
+        """
+        left = self.prepare(plan.left)
         ncols = len(plan.columns)
         size = self._batch_size
+        batched = compile_batched_apply(self._storage, plan)
+        loop = compile_apply_loop(plan, self._row_inner(plan.right))
+
+        if batched is None:
+            def batches(ctx: ExecutionContext) -> Iterator[Batch]:
+                rows = (row for lb in left.batches(ctx)
+                        for row in batch_rows(lb))
+                return rows_to_batches(loop(ctx, rows), ncols, size)
+            return _VecExecutable(batches)
+
+        def replay(ctx: ExecutionContext, lb: Batch) -> Iterator[Batch]:
+            rows: list[tuple] = []
+            try:
+                rows.extend(loop(ctx, batch_rows(lb)))
+            finally:
+                # On an error: first the rows before the failing outer
+                # row, then (at the next pull) the error itself.
+                yield from rows_to_batches(iter(rows), ncols, len(rows))
+
+        # One inner run materializes the inner rows of all its bindings
+        # and one output batch; cutting the outer batches so a run
+        # yields about ``limit`` rows keeps that transient (and the
+        # process's peak memory) where the per-row loop's re-batching
+        # had it, whatever the fan-out.
+        limit = 4 * size
+        probe = 4  # outer rows of the first cut, before any fan-out is known
+
+        def outer_slices(ctx: ExecutionContext,
+                         flow: list[int]) -> Iterator[Batch]:
+            """The outer batches, cut by the fan-out observed so far
+            (``flow`` = outer rows in, rows out; updated by the caller)."""
+            for lb in left.batches(ctx):
+                start = 0
+                while start < lb.nrows:
+                    seen, produced = flow
+                    width = (max(1, limit * seen // max(produced, seen))
+                             if seen else probe)
+                    stop = min(start + width, lb.nrows)
+                    if stop - start == lb.nrows:
+                        yield lb
+                    else:
+                        yield Batch([col[start:stop] for col in lb.columns],
+                                    stop - start)
+                    start = stop
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
-            params = ctx.params
             governor = ctx.governor
-            interval = min(64, governor.check_interval) if governor else 0
-            state = {"pending": 0}
-
-            def generate() -> Iterator[tuple]:
-                for lb in left.batches(ctx):
-                    for row in batch_rows(lb):
-                        if governor is not None:
-                            state["pending"] += 1
-                            if state["pending"] >= interval:
-                                governor.consume_rows(state["pending"])
-                                state["pending"] = 0
-                        if guard is not None and \
-                                guard(row, params) is not True:
-                            yield row + pad  # §2.4: inner never evaluated
-                            continue
-                        for cid, value in zip(left_cids, row):
-                            params[cid] = value
-                        yield from _loop_join_row(row, inner_factory(ctx),
-                                                  predicate, params,
-                                                  kind, pad)
-            try:
-                yield from rows_to_batches(generate(), ncols, size)
-            finally:
-                if state["pending"]:
-                    governor.consume_rows(state["pending"])
+            profile = ctx.profile
+            if profile is not None:  # opened, even over an empty outer
+                profile.setdefault(apply_bindings_key(plan), 0)
+            flow = [0, 0]
+            for lb in outer_slices(ctx, flow):
+                flow[0] += lb.nrows
+                # Counts and charges of a batch that fails are dropped:
+                # the replay records what really ran.
+                examined = governor.rows_examined if governor else 0
+                if profile is not None:
+                    ctx.profile = {}
+                failed = False
+                try:
+                    out = batched(ctx, lb, None)
+                except (ResourceError, InjectedFault):
+                    raise
+                except Exception:
+                    failed = True
+                finally:
+                    counts, ctx.profile = ctx.profile, profile
+                if failed:
+                    if governor is not None:
+                        governor.rows_examined = examined
+                    yield from replay(ctx, lb)
+                    continue
+                if profile is not None:
+                    for key, value in counts.items():
+                        profile[key] = profile.get(key, 0) + value
+                if out is not None:
+                    flow[1] += out.nrows
+                    yield out
         return _VecExecutable(batches)
+
+    def _row_inner(self, inner: PhysicalOp
+                   ) -> Callable[[ExecutionContext], Iterator[tuple]]:
+        """The inner side of a per-row Apply as a re-openable row source:
+        the row engine, unless the plan reads a segment bound by an
+        enclosing vectorized SegmentApply (segments are stored as
+        batches, which only the vectorized SegmentRef can read)."""
+        if not _contains_segment_ref(inner):
+            return self._row_executor.prepare(inner).rows
+        inner_vec = self.prepare(inner)
+
+        def rows(ctx: ExecutionContext) -> Iterator[tuple]:
+            for batch in inner_vec.batches(ctx):
+                yield from batch_rows(batch)
+        return rows
 
     # -- aggregation ------------------------------------------------------------
 
@@ -707,86 +786,12 @@ class VectorizedExecutor:
         layout = build_layout(child_plan.columns)
         group_positions = [layout[c.cid] for c in group_columns]
         arg_fns, specs = _aggregate_specs(aggregates, layout)
-        n_args = len(arg_fns)
-        n_groups_cols = len(group_positions)
         size = self._batch_size
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
-            params = ctx.params
-            governor = ctx.governor
-            groups: dict[tuple, int] = {}
-            keys_list: list[tuple] = []
-            counts: list[int] = []
-            stores: list[list[list]] = [[] for _ in range(n_args)]
-            get_gid = groups.get
-            held = 0
-            try:
-                for batch in child.batches(ctx):
-                    valcols = [fn(batch, params) for fn in arg_fns]
-                    keys = _key_iter(batch, group_positions)
-                    fresh = 0
-                    if n_args == 1:
-                        store0 = stores[0]
-                        col0 = valcols[0]
-                        for i, key in enumerate(keys):
-                            gid = get_gid(key)
-                            if gid is None:
-                                gid = len(keys_list)
-                                groups[key] = gid
-                                keys_list.append(key)
-                                counts.append(0)
-                                store0.append([])
-                                fresh += 1
-                            counts[gid] += 1
-                            store0[gid].append(col0[i])
-                    elif n_args == 0:
-                        for key in keys:
-                            gid = get_gid(key)
-                            if gid is None:
-                                gid = len(keys_list)
-                                groups[key] = gid
-                                keys_list.append(key)
-                                counts.append(0)
-                                fresh += 1
-                            counts[gid] += 1
-                    else:
-                        for i, key in enumerate(keys):
-                            gid = get_gid(key)
-                            if gid is None:
-                                gid = len(keys_list)
-                                groups[key] = gid
-                                keys_list.append(key)
-                                counts.append(0)
-                                for store in stores:
-                                    store.append([])
-                                fresh += 1
-                            counts[gid] += 1
-                            for store, col in zip(stores, valcols):
-                                store[gid].append(col[i])
-                    # Memory scales with distinct groups, not input rows:
-                    # charge per new group, batched.
-                    if governor is not None and fresh:
-                        governor.hold_rows(fresh)
-                        held += fresh
-                n_groups = len(keys_list)
-                if n_groups == 0:
-                    return
-                if n_groups_cols:
-                    out_cols = [list(c) for c in zip(*keys_list)]
-                else:
-                    out_cols = []
-                for reduce_fn, arg_index in specs:
-                    if arg_index is None:
-                        out_cols.append([reduce_fn(None, counts[g])
-                                         for g in range(n_groups)])
-                    else:
-                        store = stores[arg_index]
-                        out_cols.append([reduce_fn(store[g], counts[g])
-                                         for g in range(n_groups)])
-                yield from columns_to_batches(out_cols, n_groups, size)
-            finally:
-                if governor is not None:
-                    governor.release_rows(held)
+            return hash_aggregate_batches(ctx, child.batches(ctx),
+                                          group_positions, arg_fns, specs,
+                                          size)
         return _VecExecutable(batches)
 
     def _prepare_PStreamAggregate(self,
@@ -795,48 +800,12 @@ class VectorizedExecutor:
         layout = build_layout(plan.child.columns)
         group_positions = [layout[c.cid] for c in plan.group_columns]
         arg_fns, specs = _aggregate_specs(plan.aggregates, layout)
-        n_args = len(arg_fns)
-        n_out = len(plan.columns)
         size = self._batch_size
-        unset = object()
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
-            params = ctx.params
-            out_cols: list[list] = [[] for _ in range(n_out)]
-            emitted = 0
-            current_key: Any = unset
-            count = 0
-            vals: list[list] = [[] for _ in range(n_args)]
-
-            def finalize() -> None:
-                nonlocal emitted
-                position = 0
-                for part in current_key:
-                    out_cols[position].append(part)
-                    position += 1
-                for reduce_fn, arg_index in specs:
-                    value = reduce_fn(
-                        vals[arg_index] if arg_index is not None else None,
-                        count)
-                    out_cols[position].append(value)
-                    position += 1
-                emitted += 1
-
-            for batch in child.batches(ctx):
-                valcols = [fn(batch, params) for fn in arg_fns]
-                for i, key in enumerate(_key_iter(batch, group_positions)):
-                    if key != current_key:
-                        if current_key is not unset:
-                            finalize()
-                        current_key = key
-                        count = 0
-                        vals = [[] for _ in range(n_args)]
-                    count += 1
-                    for store, col in zip(vals, valcols):
-                        store.append(col[i])
-            if current_key is not unset:
-                finalize()
-            yield from columns_to_batches(out_cols, emitted, size)
+            return stream_aggregate_batches(ctx, child.batches(ctx),
+                                            group_positions, arg_fns, specs,
+                                            size)
         return _VecExecutable(batches)
 
     def _prepare_PScalarAggregate(self,
@@ -1067,10 +1036,144 @@ class VectorizedExecutor:
         return _VecExecutable(batches)
 
 
+# -- grouped aggregation over a batch stream -----------------------------------------
+#
+# Module-level so the batched Apply (:mod:`.batched_apply`) can group by
+# its binding-ordinal column with the very same fold.
+
+def hash_aggregate_batches(ctx: ExecutionContext, source: Iterable[Batch],
+                           group_positions: list[int], arg_fns, specs,
+                           size: int) -> Iterator[Batch]:
+    """Hash-group ``source`` on ``group_positions`` and fold the
+    aggregates; groups come out in first-appearance order."""
+    params = ctx.params
+    governor = ctx.governor
+    n_args = len(arg_fns)
+    groups: dict[tuple, int] = {}
+    keys_list: list[tuple] = []
+    counts: list[int] = []
+    stores: list[list[list]] = [[] for _ in range(n_args)]
+    get_gid = groups.get
+    held = 0
+    try:
+        for batch in source:
+            valcols = [fn(batch, params) for fn in arg_fns]
+            keys = _key_iter(batch, group_positions)
+            fresh = 0
+            if n_args == 1:
+                store0 = stores[0]
+                col0 = valcols[0]
+                for i, key in enumerate(keys):
+                    gid = get_gid(key)
+                    if gid is None:
+                        gid = len(keys_list)
+                        groups[key] = gid
+                        keys_list.append(key)
+                        counts.append(0)
+                        store0.append([])
+                        fresh += 1
+                    counts[gid] += 1
+                    store0[gid].append(col0[i])
+            elif n_args == 0:
+                for key in keys:
+                    gid = get_gid(key)
+                    if gid is None:
+                        gid = len(keys_list)
+                        groups[key] = gid
+                        keys_list.append(key)
+                        counts.append(0)
+                        fresh += 1
+                    counts[gid] += 1
+            else:
+                for i, key in enumerate(keys):
+                    gid = get_gid(key)
+                    if gid is None:
+                        gid = len(keys_list)
+                        groups[key] = gid
+                        keys_list.append(key)
+                        counts.append(0)
+                        for store in stores:
+                            store.append([])
+                        fresh += 1
+                    counts[gid] += 1
+                    for store, col in zip(stores, valcols):
+                        store[gid].append(col[i])
+            # Memory scales with distinct groups, not input rows:
+            # charge per new group, batched.
+            if governor is not None and fresh:
+                governor.hold_rows(fresh)
+                held += fresh
+        n_groups = len(keys_list)
+        if n_groups == 0:
+            return
+        if group_positions:
+            out_cols = [list(c) for c in zip(*keys_list)]
+        else:
+            out_cols = []
+        for reduce_fn, arg_index in specs:
+            if arg_index is None:
+                out_cols.append([reduce_fn(None, counts[g])
+                                 for g in range(n_groups)])
+            else:
+                store = stores[arg_index]
+                out_cols.append([reduce_fn(store[g], counts[g])
+                                 for g in range(n_groups)])
+        yield from columns_to_batches(out_cols, n_groups, size)
+    finally:
+        if governor is not None:
+            governor.release_rows(held)
+
+
+def stream_aggregate_batches(ctx: ExecutionContext, source: Iterable[Batch],
+                             group_positions: list[int], arg_fns, specs,
+                             size: int) -> Iterator[Batch]:
+    """Fold aggregates over ``source`` sorted on ``group_positions``: a
+    group closes when the key changes."""
+    params = ctx.params
+    n_args = len(arg_fns)
+    out_cols: list[list] = [[] for _ in range(len(group_positions)
+                                              + len(specs))]
+    emitted = 0
+    unset = object()
+    current_key: Any = unset
+    count = 0
+    vals: list[list] = [[] for _ in range(n_args)]
+
+    def finalize() -> None:
+        nonlocal emitted
+        position = 0
+        for part in current_key:
+            out_cols[position].append(part)
+            position += 1
+        for reduce_fn, arg_index in specs:
+            value = reduce_fn(
+                vals[arg_index] if arg_index is not None else None,
+                count)
+            out_cols[position].append(value)
+            position += 1
+        emitted += 1
+
+    for batch in source:
+        valcols = [fn(batch, params) for fn in arg_fns]
+        for i, key in enumerate(_key_iter(batch, group_positions)):
+            if key != current_key:
+                if current_key is not unset:
+                    finalize()
+                current_key = key
+                count = 0
+                vals = [[] for _ in range(n_args)]
+            count += 1
+            for store, col in zip(vals, valcols):
+                store.append(col[i])
+    if current_key is not unset:
+        finalize()
+    yield from columns_to_batches(out_cols, emitted, size)
+
+
 # -- batched aggregate reduction ------------------------------------------------
 
 def _aggregate_specs(aggregates: Sequence[tuple[Column, AggregateCall]],
-                     layout):
+                     layout, bound: AbstractSet[int] = frozenset()):
     """Compile aggregate argument expressions and per-call reducers.
 
     Returns ``(arg_fns, specs)``: ``arg_fns`` are the batch-compiled
@@ -1092,7 +1195,7 @@ def _aggregate_specs(aggregates: Sequence[tuple[Column, AggregateCall]],
             specs.append((_make_reducer(call.func, call.distinct), None))
         else:
             arg_index = len(arg_fns)
-            arg_fns.append(compile_vector(call.argument, layout))
+            arg_fns.append(compile_vector(call.argument, layout, bound))
             specs.append((_make_reducer(call.func, call.distinct),
                           arg_index))
     return arg_fns, specs
@@ -1162,3 +1265,9 @@ def _make_reducer(func: AggregateFunction, distinct: bool):
         return reduce_avg
 
     raise ExecutionError(f"unhandled aggregate {func}")  # pragma: no cover
+
+
+# Down here because batched_apply builds on the definitions above (Batch,
+# match_rows, the aggregate folds); the package imports this module first,
+# so the cycle always resolves in this order.
+from .batched_apply import compile_batched_apply  # noqa: E402

@@ -24,14 +24,16 @@ observation, which the ``dropped`` counter makes visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from . import faultinject
 from .catalog.statistics import CardinalityCorrection, CorrectionStore
 from .concurrency import TrackedLock
 from .core.optimizer.cardinality import predicate_fingerprint
 from .errors import InjectedFault
-from .physical.plan import PFilter, PTableScan
+from .physical.plan import (PFilter, PNLApply, PTableScan,
+                            apply_bindings_key)
 from .stats_version import capture
 
 #: A cached plan whose observed max Q-error exceeds this is flagged stale
@@ -73,6 +75,42 @@ class PlanFeedback:
     max_q_error: float
 
 
+def _apply_bindings(node: Any, profile: Dict[Any, int]) -> Optional[int]:
+    """How often an ``NLApply`` ran its inner side (``None`` for every
+    other node, and for an Apply that never opened)."""
+    if isinstance(node, PNLApply):
+        return profile.get(apply_bindings_key(node))
+    return None
+
+
+def _per_execution_q(estimated: Optional[float], actual: Optional[int],
+                     executions: int) -> Optional[float]:
+    """Q-error of one node.  Under an Apply's inner side the estimate is
+    *per binding* while the actual is cumulative over every execution of
+    the inner side, so the actual is averaged over ``executions`` first."""
+    if estimated is None or actual is None:
+        return None
+    return q_error(estimated, actual / executions if executions else actual)
+
+
+def _walk(plan: Any, profile: Dict[Any, int]
+          ) -> Iterator[Tuple[Any, int]]:
+    """Pre-order ``(node, executions)`` pairs: ``executions`` is how many
+    times the node's subtree ran — 1 outside any Apply, the enclosing
+    Apply's binding count on its inner side."""
+    stack: List[Tuple[Any, int]] = [(plan, 1)]
+    while stack:
+        node, executions = stack.pop()
+        yield node, executions
+        bindings = _apply_bindings(node, profile)
+        children = node.children
+        for position in range(len(children) - 1, -1, -1):
+            if bindings is not None and position == 1:
+                stack.append((children[position], bindings))
+            else:
+                stack.append((children[position], executions))
+
+
 def collect(plan: Any, profile: Dict[Any, int]) -> PlanFeedback:
     """Join a plan tree against an execution profile.
 
@@ -80,28 +118,24 @@ def collect(plan: Any, profile: Dict[Any, int]) -> PlanFeedback:
     ``estimated_rows`` absent, on logical trees (every node then reports
     actuals only).  Nodes the profile never saw (e.g. the guarded inner
     side of an NLApply that never opened) report ``actual_rows=None``.
+    ``actual_rows`` stay cumulative; only the Q-error of a node on an
+    Apply's inner side is computed per execution.
     """
     nodes: List[NodeFeedback] = []
     worst = 1.0
-
-    def visit(node: Any) -> None:
-        nonlocal worst
+    for node, executions in _walk(plan, profile):
         estimated = getattr(node, "estimated_rows", None)
         actual = profile.get(id(node))
-        q: Optional[float] = None
-        if estimated is not None and actual is not None:
-            q = q_error(estimated, actual)
+        q = _per_execution_q(estimated, actual, executions)
+        if q is not None:
             worst = max(worst, q)
         nodes.append(NodeFeedback(node.label(), estimated, actual, q))
-        for child in node.children:
-            visit(child)
-
-    visit(plan)
     return PlanFeedback(tuple(nodes), worst)
 
 
 def tree_dict(node: Any, profile: Optional[Dict[Any, int]] = None,
-              estimates: Optional[Dict[int, float]] = None) -> dict:
+              estimates: Optional[Dict[int, float]] = None,
+              executions: int = 1) -> dict:
     """The EXPLAIN [ANALYZE] tree as nested dicts with frozen keys.
 
     ``op``/``estimated_rows``/``actual_rows``/``q_error``/``children``
@@ -114,20 +148,29 @@ def tree_dict(node: Any, profile: Optional[Dict[Any, int]] = None,
     A scan node that zone-map-pruned chunks additionally carries
     ``chunks_skipped``; the key is emitted only when at least one chunk
     was skipped so the frozen key set above stays exact everywhere else.
+    Likewise an executed ``NLApply`` node — and only that — carries
+    ``apply_bindings``: how many times its inner side ran (outer rows
+    minus guarded-out ones).  ``actual_rows`` below it stay cumulative
+    over those executions; ``q_error`` there compares the per-binding
+    estimate with the per-execution average (``executions`` threads the
+    divisor down the recursion).
     """
     estimated = getattr(node, "estimated_rows", None)
     if estimated is None and estimates is not None:
         estimated = estimates.get(id(node))
     actual = profile.get(id(node)) if profile is not None else None
-    q: Optional[float] = None
-    if estimated is not None and actual is not None:
-        q = q_error(estimated, actual)
+    bindings = _apply_bindings(node, profile) if profile is not None else None
     out = {"op": node.label(),
            "estimated_rows": estimated,
            "actual_rows": actual,
-           "q_error": q,
-           "children": [tree_dict(child, profile, estimates)
-                        for child in node.children]}
+           "q_error": _per_execution_q(estimated, actual, executions),
+           "children": [
+               tree_dict(child, profile, estimates,
+                         bindings if bindings is not None and position == 1
+                         else executions)
+               for position, child in enumerate(node.children)]}
+    if bindings is not None:
+        out["apply_bindings"] = bindings
     if profile is not None:
         skipped = profile.get(("chunks_skipped", id(node)))
         if skipped:
@@ -150,6 +193,8 @@ def render_tree(tree: dict) -> str:
             notes.append(f"q={node['q_error']:.2f}")
         if node.get("chunks_skipped") is not None:
             notes.append(f"skipped={node['chunks_skipped']}")
+        if node.get("apply_bindings") is not None:
+            notes.append(f"bindings={node['apply_bindings']}")
         suffix = f"  ({' '.join(notes)})" if notes else ""
         lines.append("  " * depth + node["op"] + suffix)
         for child in node["children"]:
@@ -170,24 +215,19 @@ def tree_max_q_error(tree: dict) -> Optional[float]:
     return worst
 
 
-def _correction_sites(plan: Any) -> List[PFilter]:
-    """Filter-over-scan nodes: the shapes corrections are keyed on.
+def _correction_sites(plan: Any, profile: Dict[Any, int]
+                      ) -> List[Tuple[PFilter, int]]:
+    """Filter-over-scan nodes — the shapes corrections are keyed on —
+    with how many times each ran (see :func:`_walk`).
 
     A ``PFilter`` directly over a ``PTableScan`` corresponds one-to-one
     with a logical ``Select`` over ``Get`` — the estimator's
     :meth:`~repro.core.optimizer.cardinality.Estimator._corrected_rows`
     hook matches exactly the same shape on the logical side.
     """
-    found: List[PFilter] = []
-
-    def visit(node: Any) -> None:
-        if isinstance(node, PFilter) and isinstance(node.child, PTableScan):
-            found.append(node)
-        for child in node.children:
-            visit(child)
-
-    visit(plan)
-    return found
+    return [(node, executions) for node, executions in _walk(plan, profile)
+            if isinstance(node, PFilter)
+            and isinstance(node.child, PTableScan)]
 
 
 class FeedbackLoop:
@@ -234,11 +274,13 @@ class FeedbackLoop:
             return None
         feedback = collect(entry.plan, profile)
         recorded = 0
-        for node in _correction_sites(entry.plan):
+        for node, executions in _correction_sites(entry.plan, profile):
             estimated = node.estimated_rows
             actual = profile.get(id(node))
             if estimated is None or actual is None:
                 continue
+            if executions > 1:  # inner side of an Apply: per execution
+                actual = round(actual / executions)
             if q_error(estimated, actual) < self.min_correction_q_error:
                 continue
             table = node.child.table_name

@@ -466,3 +466,47 @@ class PSegmentApply(PhysicalOp):
     def label(self) -> str:
         segs = ", ".join(repr(c) for c in self.segment_columns)
         return f"SegmentApply[{segs}]"
+
+
+def apply_bindings_key(plan: "PNLApply") -> tuple[str, int]:
+    """The execution-profile key under which an Apply records how many
+    times its inner side ran.  Off-row, like ``chunks_skipped``: a tuple,
+    so it can never collide with the ``id(node)`` row-count keys."""
+    return ("apply_bindings", id(plan))
+
+
+def _node_expressions(plan: PhysicalOp) -> list[ScalarExpr]:
+    """Every scalar expression ``plan`` itself evaluates."""
+    found: list[Optional[ScalarExpr]] = []
+    if isinstance(plan, PIndexSeek):
+        found = [*plan.key_exprs, plan.residual]
+    elif isinstance(plan, PFilter):
+        found = [plan.predicate]
+    elif isinstance(plan, PProject):
+        found = [expr for _, expr in plan.items]
+    elif isinstance(plan, PHashJoin):
+        found = [*plan.left_keys, *plan.right_keys, plan.residual]
+    elif isinstance(plan, PNestedLoopsJoin):
+        found = [plan.predicate]
+    elif isinstance(plan, PNLApply):
+        found = [plan.predicate, plan.guard]
+    elif isinstance(plan, (PHashAggregate, PStreamAggregate,
+                           PScalarAggregate)):
+        found = [call.argument for _, call in plan.aggregates]
+    elif isinstance(plan, (PSort, PTopN)):
+        found = [expr for expr, _ in plan.keys]
+    return [expr for expr in found if expr is not None]
+
+
+def outer_references(plan: PhysicalOp) -> frozenset[int]:
+    """Ids of the columns ``plan`` reads but no operator inside it
+    produces: the correlation parameters an enclosing ``PNLApply`` must
+    bind before the subtree runs."""
+    used: set[int] = set()
+    for expr in _node_expressions(plan):
+        used.update(expr.free_columns().ids())
+    produced = {c.cid for c in plan.columns}
+    for child in plan.children:
+        used.update(outer_references(child))
+        produced.update(c.cid for c in child.columns)
+    return frozenset(used - produced)

@@ -29,11 +29,23 @@ class HashIndex:
     def insert(self, row: tuple, row_position: int) -> None:
         self._buckets.setdefault(self.key_of(row), []).append(row_position)
 
-    def lookup(self, key: tuple) -> list[int]:
-        """Row positions whose key equals ``key`` (NULL never matches)."""
-        if any(part is None for part in key):
+    def lookup(self, key: tuple) -> Sequence[int]:
+        """Row positions whose key equals ``key`` (NULL never matches).
+
+        ``key`` must already be a tuple in :attr:`positions` order.  A
+        hit returns the index's own bucket list, not a copy: callers
+        read it and must never mutate it.
+        """
+        if None in key:
             return []
-        return self._buckets.get(tuple(key), [])
+        return self._buckets.get(key) or []
+
+    def lookup_many(self, keys: Iterable[tuple]) -> list[Sequence[int]]:
+        """:meth:`lookup` for a batch of probe keys: one (read-only)
+        position sequence per key, in key order."""
+        get = self._buckets.get
+        empty: Sequence[int] = ()
+        return [empty if None in key else get(key, empty) for key in keys]
 
     def rebuild(self, rows: Sequence[tuple]) -> None:
         self._buckets.clear()
@@ -79,18 +91,22 @@ class OrderedIndex:
             self._sorted = True
 
     def lookup(self, key: tuple) -> list[int]:
-        if any(part is None for part in key):
+        if None in key:
             return []
         self._ensure_sorted()
-        key = tuple(key)
-        lo = bisect.bisect_left(self._entries, (key, -1))
+        entries = self._entries
+        lo = bisect.bisect_left(entries, (key, -1))
         result = []
-        for i in range(lo, len(self._entries)):
-            entry_key, position = self._entries[i]
+        for i in range(lo, len(entries)):
+            entry_key, position = entries[i]
             if entry_key != key:
                 break
             result.append(position)
         return result
+
+    def lookup_many(self, keys: Iterable[tuple]) -> list[Sequence[int]]:
+        """:meth:`lookup` for a batch of probe keys, in key order."""
+        return [self.lookup(key) for key in keys]
 
     def range_scan(self, low: tuple | None = None, high: tuple | None = None,
                    low_inclusive: bool = True,

@@ -178,6 +178,12 @@ class StoredTable:
     def scan(self) -> Iterator[tuple]:
         return self._store.iter_rows()
 
+    def rows_at(self, positions: Sequence[int]) -> list[tuple]:
+        """The row tuples at ``positions`` (index-lookup results), in
+        that order — one call per probe batch instead of one façade
+        ``rows[p]`` per row."""
+        return self._store.rows_at(positions)
+
     def columns(self) -> list[list]:
         """The whole table pivoted to columnar form: one value list per
         declared column, aligned by row position (fresh lists)."""

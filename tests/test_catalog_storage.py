@@ -163,6 +163,34 @@ class TestIndexes:
         assert index.lookup((None,)) == []
 
 
+    @pytest.mark.parametrize("index_type", [HashIndex, OrderedIndex])
+    def test_lookup_many_agrees_with_lookup(self, index_type):
+        index = index_type([1, 0])  # key order differs from row order
+        rows = [(1, "a"), (2, "b"), (1, "a"), (None, "a"), (1, None),
+                (3, "c"), (1, "a")]
+        for position, row in enumerate(rows):
+            index.insert(row, position)
+        keys = [("a", 1), ("zz", 9), ("a", None), (None, 1), ("b", 2),
+                ("a", 1), ("c", 3)]
+        found = index.lookup_many(iter(keys))
+        assert [sorted(hit) for hit in found] == \
+            [sorted(index.lookup(key)) for key in keys]
+        assert sorted(found[0]) == [0, 2, 6]
+        # NULL never matches, whichever side it is on
+        assert list(found[2]) == [] and list(found[3]) == []
+        assert index.lookup_many([]) == []
+
+    def test_hash_lookup_does_not_copy_or_retuple(self):
+        index = HashIndex([0])
+        index.insert((1, "x"), 0)
+        index.insert((1, "y"), 1)
+        # The bucket itself comes back (read-only by contract) ...
+        assert index.lookup((1,)) is index.lookup((1,))
+        assert index.lookup_many([(1,)])[0] is index.lookup((1,))
+        # ... and a miss is a fresh list nobody else holds.
+        assert index.lookup((2,)) is not index.lookup((2,))
+
+
 class TestStorage:
     def test_round_trip(self):
         storage = Storage()

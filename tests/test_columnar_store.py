@@ -118,6 +118,28 @@ class TestColumnStore:
         assert store.columns() == [list(range(10)),
                                    [i % 3 for i in range(10)]]
 
+    def test_rows_at_gathers_in_probe_order(self):
+        store = self.build(10, chunk_rows=4)
+        positions = [9, 0, 4, 4, 3, 8, 7]  # tail, sealed, repeats
+        assert store.rows_at(positions) == [store.row(p) for p in positions]
+        assert store.rows_at([]) == []
+        assert self.build(3, chunk_rows=4).rows_at([2, 0]) == [(2, 2),
+                                                               (0, 0)]
+
+    def test_rows_at_with_a_manually_sealed_short_chunk(self):
+        # A short chunk breaks "position // chunk_rows"; the gather must
+        # fall back to the chunk start offsets, clones included.
+        store = ColumnStore(2, chunk_rows=4)
+        for i in range(6):
+            store.append((i, i % 3))
+        store.seal_tail()  # chunks of 4 and 2 rows
+        for i in range(6, 13):
+            store.append((i, i % 3))
+        assert [chunk.nrows for chunk in store.chunks] == [4, 2, 4]
+        for target in (store, store.clone()):
+            assert target.rows_at(list(range(12, -1, -1))) == \
+                [(i, i % 3) for i in range(12, -1, -1)]
+
     def test_force_encodings_round_trips(self):
         store = self.build(10, chunk_rows=4)
         store.force_encodings(["rle", "dict"])

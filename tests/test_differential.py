@@ -26,7 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (CORRELATED, DECORRELATE_ONLY, FULL, NAIVE, Database,
-                   DataType)
+                   DataType, SubqueryReturnedMultipleRows)
+from repro.executor import VectorizedExecutor
+from repro.executor.physical import PhysicalExecutor
+from repro.feedback import tree_dict
 from repro.tpch import (QUERIES, create_tpch_schema, generate_tpch,
                         paper_example_formulations)
 
@@ -228,6 +231,176 @@ def test_engines_agree_on_empty_tables():
                 "select t.id, s.amt from t left outer join s"
                 " on s.ref = t.grp"):
         assert_engines_agree(db, sql)
+
+
+# -- surviving Apply: batched vs. per-row execution -----------------------------
+#
+# CORRELATED mode keeps every subquery as an Apply, and an index on
+# ``s.ref`` lets the cost-based modes re-introduce it as an index-lookup
+# join, so these statements put every inner shape the batched Apply
+# executes (repro.executor.batched_apply) under every Apply kind — and,
+# without the index, the correlated-scan form.  Besides rows, the
+# engines must agree on EXPLAIN ANALYZE actuals: the batched path counts
+# *logical* rows (a de-duplicated binding once per outer row sharing it).
+
+APPLY_SHAPES = {
+    # index seek (or correlated scan) under each Apply kind
+    "seek_semi": "select t.id from t where exists"
+                 " (select * from s where s.ref = t.grp and s.amt > t.val)",
+    "seek_anti": "select t.id from t where not exists"
+                 " (select * from s where s.ref = t.grp)",
+    "seek_semi_predicate": "select t.id from t where t.val in"
+                           " (select s.amt from s where s.ref = t.grp)",
+    "seek_anti_predicate": "select t.id from t where t.val not in"
+                           " (select s.amt from s where s.ref = t.grp)",
+    "seek_outer": "select t.id, (select s.amt from s where s.sid = t.grp)"
+                  " from t",
+    # scalar aggregation: bindings that match nothing get the empty group
+    "scalar_agg": "select t.id, (select count(*) from s"
+                  " where s.ref = t.grp), (select sum(s.amt) from s"
+                  " where s.ref = t.val) from t",
+    "distinct_agg": "select t.id, (select count(distinct s.amt) from s"
+                    " where s.ref = t.grp) from t",
+    "vector_agg": "select t.id, (select count(*) from s"
+                  " where s.ref = t.grp group by s.ref) from t",
+    "topn": "select t.id, (select s.amt from s where s.ref = t.grp"
+            " order by s.amt desc, s.sid limit 1) from t",
+    # Max1row: raises whenever two s rows share a referenced ref
+    "max1row": "select t.id, (select s.amt from s where s.ref = t.grp)"
+               " from t",
+    "union_all": "select t.id from t where 3 < (select sum(v) from"
+                 " (select s.amt as v from s where s.ref = t.grp"
+                 " union all select s2.sid as v from s s2"
+                 " where s2.sid = t.id) as u)",
+    "nested_apply": "select t.id, (select sum(s.amt) from s"
+                    " where s.ref = t.grp and s.amt <"
+                    " (select max(s2.amt) from s s2"
+                    " where s2.ref = s.ref)) from t",
+    # Section 2.4: guarded-out rows never reach the (raising) subquery
+    "case_guard": "select t.id, case when t.val > 1"
+                  " then (select count(*) from s where s.ref = t.grp)"
+                  " else 0 end from t",
+    "case_guard_max1row": "select t.id, case when t.tag = 0"
+                          " then (select s.amt from s where s.ref = t.grp)"
+                          " else t.val end from t",
+    # a LIMIT above the Apply: an error past the limit must not surface
+    "limit_above": "select t.id, (select s.amt from s where s.ref = t.grp)"
+                   " from t limit 1",
+}
+
+
+def apply_db(t_rows, s_rows, batch_size, index_kind) -> Database:
+    db = Database(batch_size=batch_size)
+    db.create_table("t", [("id", DataType.INTEGER, False),
+                          ("grp", DataType.INTEGER, True),
+                          ("val", DataType.INTEGER, True),
+                          ("tag", DataType.INTEGER, True)],
+                    primary_key=("id",))
+    db.create_table("s", [("sid", DataType.INTEGER, False),
+                          ("ref", DataType.INTEGER, True),
+                          ("amt", DataType.INTEGER, True)],
+                    primary_key=("sid",))
+    if index_kind is not None:
+        db.create_index("s_ref", "s", ["ref"], kind=index_kind)
+    db.insert("t", [(i + 1, *row) for i, row in enumerate(t_rows)])
+    db.insert("s", [(i + 1, *row) for i, row in enumerate(s_rows)])
+    return db
+
+
+def _trace(plan, profile):
+    """Pre-order (actual rows, inner executions) per plan node."""
+    tree = tree_dict(plan, profile)
+    out = []
+
+    def visit(node):
+        out.append((node["op"], node["actual_rows"],
+                    node.get("apply_bindings")))
+        for child in node["children"]:
+            visit(child)
+    visit(tree)
+    return out
+
+
+def _profiled_run(executor, plan):
+    profile = {}
+    try:
+        rows = executor.run_prepared(executor.prepare(plan),
+                                     profile=profile)
+    except SubqueryReturnedMultipleRows:
+        return None, None
+    return rows, _trace(plan, profile)
+
+
+def assert_apply_engines_agree(db: Database, sql: str,
+                               batch_size: int) -> None:
+    try:
+        reference = Counter(db.execute(sql, NAIVE).rows)
+    except SubqueryReturnedMultipleRows:
+        reference = None
+    tuple_engine = PhysicalExecutor(db.storage)
+    vector_engine = VectorizedExecutor(db.storage, batch_size=batch_size)
+    for mode in ALL_MODES:
+        plan = db.prepare(sql, mode).plan
+        tuple_rows, tuple_trace = _profiled_run(tuple_engine, plan)
+        vector_rows, vector_trace = _profiled_run(vector_engine, plan)
+        assert vector_rows == tuple_rows, \
+            f"vectorized != tuple under {mode.name} on: {sql}"
+        if " limit " in sql:
+            continue  # a LIMIT legitimately changes what gets evaluated
+        assert (None if tuple_rows is None
+                else Counter(tuple_rows)) == reference, \
+            f"{mode.name} != naive on: {sql}"
+        assert vector_trace == tuple_trace, \
+            f"EXPLAIN ANALYZE actuals differ under {mode.name} on: {sql}"
+
+
+# Few distinct values on purpose: bindings repeat within a batch (the
+# de-duplication path) and NULL bindings are common.
+binding = st.one_of(st.none(), st.integers(0, 2))
+apply_t_rows = st.lists(st.tuples(binding, binding, binding), max_size=9)
+apply_s_rows = st.lists(st.tuples(binding, st.one_of(st.none(),
+                                                     st.integers(0, 4))),
+                        max_size=9)
+
+
+@settings(max_examples=4 * MAX_EXAMPLES, deadline=None,
+          derandomize=not DEEP, database=None)
+@given(t_rows=apply_t_rows, s_rows=apply_s_rows,
+       shape=st.sampled_from(sorted(APPLY_SHAPES)),
+       batch_size=st.sampled_from((1, 3, 1024)),
+       index_kind=st.sampled_from((None, "hash", "ordered")))
+def test_batched_apply_sweep(t_rows, s_rows, shape, batch_size, index_kind):
+    db = apply_db(t_rows, s_rows, batch_size, index_kind)
+    assert_apply_engines_agree(db, APPLY_SHAPES[shape], batch_size)
+
+
+def test_batched_apply_grid():
+    """Every shape on one duplicate-heavy, NULL-rich fixture, with and
+    without the index, at every batch size."""
+    t_rows = [(1, 2, 0), (1, 2, 1), (None, 0, 0), (2, None, 1), (1, 2, 0),
+              (0, 1, 0), (2, 2, None), (None, None, None), (1, 0, 1)]
+    s_rows = [(1, 3), (2, 0), (None, 4), (0, 1), (4, 4), (None, None),
+              (3, 2)]
+    duplicated = s_rows + [(1, 1), (1, None), (2, 2)]  # Max1row violations
+    for rows in (s_rows, duplicated):
+        for index_kind in (None, "hash", "ordered"):
+            for batch_size in (1, 3, 1024):
+                db = apply_db(t_rows, rows, batch_size, index_kind)
+                for sql in APPLY_SHAPES.values():
+                    assert_apply_engines_agree(db, sql, batch_size)
+
+
+def test_limit_stops_before_a_later_max1row_violation():
+    """`rows_to_batches` used to drain a whole outer batch through the
+    Apply before the Top above could stop: the violation at the third
+    outer row surfaced although one row was asked for."""
+    db = apply_db([(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+                  [(0, 7), (2, 8), (2, 9)], 1024, "hash")
+    sql = APPLY_SHAPES["limit_above"]
+    for engine in ("tuple", "vectorized"):
+        assert db.execute(sql, engine=engine).rows == [(1, 7)]
+        with pytest.raises(SubqueryReturnedMultipleRows):
+            db.execute(sql.replace(" limit 1", ""), engine=engine)
 
 
 # -- TPC-H corpus --------------------------------------------------------------

@@ -442,6 +442,82 @@ class TestWireStats:
                 assert "-- physical --" in text
 
 
+# -- per-binding Q-error under an Apply ------------------------------------------
+
+
+def apply_db(**kwargs) -> Database:
+    """40 customers with exactly 3 orders each: every estimate of the
+    correlated count below is accurate *per binding*."""
+    db = Database(**kwargs)
+    db.create_table("c", [("ck", DataType.INTEGER, False),
+                          ("bal", DataType.INTEGER, False)],
+                    primary_key=("ck",))
+    db.create_table("o", [("ok", DataType.INTEGER, False),
+                          ("ock", DataType.INTEGER, False)],
+                    primary_key=("ok",))
+    db.create_index("o_ock", "o", ["ock"])
+    db.insert("c", [(i, i % 2) for i in range(40)])
+    db.insert("o", [(i, i % 40) for i in range(120)])
+    return db
+
+
+#: The CASE guard keeps the Apply in the final plan (Section 2.4).
+APPLY_SQL = ("select ck, case when bal = 0 then (select count(*) from o"
+             " where ock = ck) else 0 end from c")
+
+
+class TestApplyBindings:
+    """Nodes under an Apply's inner side carry a *per-binding* estimate
+    but a *cumulative* actual; comparing the two flagged every healthy
+    correlated plan as misestimated (q = the outer row count)."""
+
+    @pytest.mark.parametrize("engine", ["tuple", "vectorized"])
+    def test_inner_q_error_is_per_execution(self, engine):
+        db = apply_db()
+        payload = db.explain(APPLY_SQL, FULL, analyze=True, format="dict",
+                             engine=engine)
+        nodes = []
+
+        def walk(node, under_inner):
+            nodes.append((node, under_inner))
+            for position, child in enumerate(node["children"]):
+                walk(child, under_inner
+                     or (node["op"].startswith("NLApply")
+                         and position == 1))
+        walk(payload["plan"], False)
+        (apply_node,) = [n for n, _ in nodes
+                         if n["op"].startswith("NLApply")]
+        # 20 of the 40 customers pass the guard and bind the inner side.
+        assert apply_node["apply_bindings"] == 20
+        inner = [n for n, under in nodes if under]
+        assert [n["op"].split("(")[0] for n in inner] == \
+            ["ScalarAggregate", "IndexSeek"]
+        # actual_rows stay cumulative; only the Q-error is per binding.
+        assert [n["actual_rows"] for n in inner] == [20, 60]
+        for node in inner:
+            assert node["q_error"] == pytest.approx(1.0)
+        # The off-row key appears under the Apply node and nowhere else.
+        for node, _ in nodes:
+            expected = {"op", "estimated_rows", "actual_rows", "q_error",
+                        "children"}
+            if node is apply_node:
+                expected = expected | {"apply_bindings"}
+            assert set(node) == expected
+        assert payload["stats"]["max_q_error"] < 4.0
+        assert "bindings=20" in db.explain(APPLY_SQL, FULL, analyze=True,
+                                           engine=engine)
+
+    @pytest.mark.parametrize("engine", ["tuple", "vectorized"])
+    def test_healthy_correlated_plan_is_not_flagged_stale(self, engine):
+        db = apply_db(feedback=True, default_engine=engine)
+        for _ in range(3):
+            result = db.execute(APPLY_SQL, FULL)
+            assert result.stats.max_q_error < 4.0
+        assert db.feedback.plans_recorded == 3
+        assert db.feedback.plans_invalidated == 0
+        assert db.plan_cache.stats.stale == 0
+
+
 # -- cross-engine agreement of actual counts -----------------------------------
 
 

@@ -195,10 +195,41 @@ class TestOperatorPaths:
             db, "select count(*), sum(l.v) from l where l.k = 99")
         assert rows == [(0, None)]
 
-    def test_correlated_subquery_runs_row_engine_inner(self):
-        self._agree(self._db(),
-                    "select l.id, (select sum(r.w) from r where r.k = l.k)"
-                    " from l")
+    def test_correlated_subquery_runs_batched_inner(self):
+        from repro import CORRELATED
+        from repro.executor.batched_apply import compile_batched_apply
+        from repro.physical import PNLApply
+
+        db = self._db()
+        sql = ("select l.id, (select sum(r.w) from r where r.k = l.k)"
+               " from l")
+        node = db.prepare(sql, CORRELATED).plan
+        while not isinstance(node, PNLApply):
+            (node,) = node.children
+        # A correlated equality over a scan hashes the bindings and
+        # scans r once per outer batch.
+        assert compile_batched_apply(db.storage, node) is not None
+        assert db.execute(sql, CORRELATED, engine="vectorized").rows == \
+            db.execute(sql, CORRELATED, engine="tuple").rows
+        self._agree(db, sql)
+
+    def test_limit_above_apply_does_not_surface_a_later_error(self):
+        # Regression: rows_to_batches drained a whole batch of outer rows
+        # through the Apply before the Top could stop, so the Max1row
+        # violation of the *second* outer row failed a LIMIT 1 query on
+        # the vectorized engine only.
+        db = Database(batch_size=1024)
+        db.create_table("t", [("a", DataType.INTEGER, False)],
+                        primary_key=("a",))
+        db.create_table("s", [("x", DataType.INTEGER, False),
+                              ("y", DataType.INTEGER, False)])
+        db.insert("t", [(1,), (2,)])
+        db.insert("s", [(1, 0), (2, 5), (2, 6)])
+        sql = "select a, (select y from s where x = a) from t limit 1"
+        for engine in ("tuple", "vectorized"):
+            assert db.execute(sql, engine=engine).rows == [(1, 0)]
+            with pytest.raises(SubqueryReturnedMultipleRows):
+                db.execute(sql.replace(" limit 1", ""), engine=engine)
 
 
 class TestMorselDeterminism:
@@ -212,6 +243,12 @@ class TestMorselDeterminism:
         " group by t.b",
         "select t.a from t where t.b = 3 order by 1",
         "select count(*) from t where t.a is not null",
+        # batched Applies above the parallel scan: a guarded scalar
+        # aggregate over an index seek, and a semi probe
+        "select t.a, case when t.a > 20 then (select count(*) from u"
+        " where u.k = t.b) else 0 end from t",
+        "select t.a from t where exists"
+        " (select * from u where u.k = t.b and u.v > t.a)",
     )
 
     def loaded(self, morsel_workers) -> Database:
@@ -222,6 +259,13 @@ class TestMorselDeterminism:
                         primary_key=("a",))
         db.insert("t", [(i, i % 5 if i % 7 else None)
                         for i in range(150)])
+        db.create_table("u", [("id", DataType.INTEGER, False),
+                              ("k", DataType.INTEGER, True),
+                              ("v", DataType.INTEGER, True)],
+                        primary_key=("id",))
+        db.create_index("u_k", "u", ["k"])
+        db.insert("u", [(i, i % 4 if i % 3 else None, i * 9)
+                        for i in range(40)])
         return db
 
     @staticmethod
@@ -238,6 +282,10 @@ class TestMorselDeterminism:
         from repro import FULL
         serial = self.loaded(1)
         parallel = self.loaded(8)
+        applies = [label for label in self.actuals(serial.explain(
+            self.QUERIES[-2], FULL, format="dict")["plan"], [])
+            if label[0].startswith("NLApply")]
+        assert applies, "the guarded subquery must keep its Apply"
         for sql in self.QUERIES:
             assert parallel.execute(sql, FULL).rows \
                 == serial.execute(sql, FULL).rows, sql
