@@ -51,5 +51,4 @@ def test_ablation_segment_apply(benchmark):
     from repro.executor.physical import PhysicalExecutor
     executor = PhysicalExecutor(db.storage)
     prepared = executor.prepare(with_plan)
-    from repro.executor.physical import ExecutionContext
-    benchmark(lambda: list(prepared.rows(ExecutionContext())))
+    benchmark(lambda: executor.run_prepared(prepared))

@@ -1,19 +1,11 @@
-"""Benchmark harness shared by the ``benchmarks/`` suite."""
+"""Paper-reproduction helpers shared by the ``benchmarks/`` suite."""
 
 from .harness import (CONFIGURATIONS, Measurement, NO_GROUPBY_REORDER,
                       NO_INDEX_APPLY, NO_LOCAL_AGGREGATES, NO_OJ_SIMPLIFY,
-                      NO_SEGMENT_APPLY, VECTORIZED_WORKLOADS,
-                      columnar_speedup_report, columnar_speedup_table,
-                      format_table, matview_speedup_report,
-                      matview_speedup_table, run_matrix, series_table,
-                      time_query, tpch_database, vectorized_speedup_report,
-                      vectorized_speedup_table)
+                      NO_SEGMENT_APPLY, format_table, run_matrix,
+                      series_table, time_query, tpch_database)
 
 __all__ = ["CONFIGURATIONS", "Measurement", "NO_GROUPBY_REORDER",
            "NO_INDEX_APPLY", "NO_LOCAL_AGGREGATES", "NO_OJ_SIMPLIFY",
-           "NO_SEGMENT_APPLY", "VECTORIZED_WORKLOADS",
-           "columnar_speedup_report", "columnar_speedup_table",
-           "format_table", "matview_speedup_report",
-           "matview_speedup_table", "run_matrix", "series_table",
-           "time_query", "tpch_database", "vectorized_speedup_report",
-           "vectorized_speedup_table"]
+           "NO_SEGMENT_APPLY", "format_table", "run_matrix", "series_table",
+           "time_query", "tpch_database"]

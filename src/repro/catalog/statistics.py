@@ -106,59 +106,6 @@ class ColumnStats:
     max_value: Any = None
     histogram: Optional[Histogram] = None
 
-    def selectivity_equals(self, row_count: int) -> float:
-        """Estimated fraction of rows matching ``col = constant``."""
-        if self.distinct_count <= 0:
-            return 0.0
-        non_null = max(row_count - self.null_count, 0)
-        if row_count == 0:
-            return 0.0
-        return (non_null / row_count) / self.distinct_count
-
-    def selectivity_range(self, op: str, value: Any, row_count: int) -> float:
-        """Estimated fraction of rows matching ``col <op> value``.
-
-        Uses the equi-depth histogram when present (skew-robust) and
-        falls back to uniform interpolation between min and max.
-        """
-        if row_count == 0 or self.min_value is None or self.max_value is None:
-            return _DEFAULT_RANGE_SELECTIVITY
-        non_null_fraction = max(row_count - self.null_count, 0) / row_count
-
-        if self.histogram is not None:
-            if op == "<":
-                below = self.histogram.fraction_below(value)
-            elif op == "<=":
-                below = self.histogram.fraction_below(value, inclusive=True)
-            elif op == ">":
-                below = 1.0 - self.histogram.fraction_below(
-                    value, inclusive=True)
-            elif op == ">=":
-                below = 1.0 - self.histogram.fraction_below(value)
-            else:
-                return _DEFAULT_RANGE_SELECTIVITY
-            return below * non_null_fraction
-
-        try:
-            span = _numeric(self.max_value) - _numeric(self.min_value)
-        except TypeError:
-            return _DEFAULT_RANGE_SELECTIVITY
-        if span <= 0:
-            return _DEFAULT_RANGE_SELECTIVITY
-        try:
-            position = (_numeric(value) - _numeric(self.min_value)) / span
-        except TypeError:
-            return _DEFAULT_RANGE_SELECTIVITY
-        position = min(max(position, 0.0), 1.0)
-        if op in ("<", "<="):
-            return position * non_null_fraction
-        if op in (">", ">="):
-            return (1.0 - position) * non_null_fraction
-        return _DEFAULT_RANGE_SELECTIVITY
-
-
-_DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
-
 
 def _numeric(value: Any) -> float:
     """Map a value to a number for range interpolation."""

@@ -17,7 +17,6 @@ configurations:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import (Any, Iterable, Iterator, Mapping, Optional, Sequence,
                     Union)
@@ -47,8 +46,9 @@ from .feedback import (DEFAULT_Q_ERROR_THRESHOLD, FeedbackLoop,
 from .governor import OptimizerBudget, QueryStats, ResourceGovernor
 from .matview import MatViewDef, MatViewManager, canonicalize, match_rewrite
 from .physical import PhysicalOp, explain_physical
-from .plancache import CachedPlan, PlanCache, normalize_sql_key
-from .sql import MatViewStatement, parse, split_explain, split_matview_ddl
+from .plancache import CachedPlan, PlanCache
+from .sql import (MatViewStatement, Statement, classify_statement,
+                  lex_query, parse)
 from .executor.vector_expressions import split_conjuncts
 from .storage import DEFAULT_CHUNK_ROWS, Storage
 from .storage.columnar import compile_zone_filters
@@ -127,35 +127,10 @@ class ExplainOptions:
                 f"of: {', '.join(EXPLAIN_FORMATS)}")
 
 
-#: One DeprecationWarning per process for the positional-costs legacy
-#: form: a hot loop calling ``explain(sql, mode, True)`` used to emit
-#: the identical warning on every call, drowning real warnings.
-_positional_costs_warned = False
-
-
-def _explain_options(deprecated: tuple, options: ExplainOptions | None,
-                     analyze: bool, costs: bool,
-                     format: str) -> ExplainOptions:
-    """Resolve an explain call's arguments to one ``ExplainOptions``.
-
-    ``deprecated`` captures a legacy *positional* ``costs`` argument
-    (the pre-1.4 signature was ``explain(sql, mode, costs)``); passing
-    it still works but warns (once per process).  An explicit
-    ``options`` object wins over the individual keywords.
-    """
-    global _positional_costs_warned
-    if deprecated:
-        if len(deprecated) > 1 or options is not None:
-            raise TypeError(
-                "explain() takes at most one positional option (the "
-                "deprecated costs flag)")
-        if not _positional_costs_warned:
-            _positional_costs_warned = True
-            warnings.warn(
-                "passing costs positionally to explain() is deprecated; "
-                "use costs=... or options=ExplainOptions(costs=...)",
-                DeprecationWarning, stacklevel=3)
-        costs = bool(deprecated[0])
+def _explain_options(options: ExplainOptions | None, analyze: bool,
+                     costs: bool, format: str) -> ExplainOptions:
+    """Resolve an explain call's arguments to one ``ExplainOptions``: an
+    explicit ``options`` object wins over the individual keywords."""
     if options is not None:
         return options
     return ExplainOptions(analyze=analyze, costs=costs, format=format)
@@ -285,11 +260,11 @@ class PreparedStatement:
         self.sql = sql
         self.mode = mode
         self.engine = engine
-        self._database._cached_plan(sql, mode,
-                                    engine=engine)  # compile eagerly
+        self._statement = lex_query(sql)
+        self._entry()  # compile eagerly
 
     def _entry(self) -> CachedPlan:
-        return self._database._cached_plan(self.sql, self.mode,
+        return self._database._cached_plan(self._statement, self.mode,
                                            engine=self.engine)
 
     @property
@@ -314,13 +289,12 @@ class PreparedStatement:
                 optimizer_budget: OptimizerBudget | None = None,
                 governor: ResourceGovernor | None = None) -> QueryResult:
         return self._database.execute(
-            self.sql, self.mode, params, timeout=timeout,
+            self._statement, self.mode, params, timeout=timeout,
             row_budget=row_budget, memory_budget=memory_budget,
             optimizer_budget=optimizer_budget, governor=governor,
             engine=self.engine)
 
-    def explain(self, *deprecated,
-                options: ExplainOptions | None = None,
+    def explain(self, *, options: ExplainOptions | None = None,
                 analyze: bool = False, costs: bool = False,
                 format: str = "text",
                 params: Params = None) -> "str | dict":
@@ -328,14 +302,12 @@ class PreparedStatement:
 
         ``analyze=True`` executes the statement once with per-operator
         row counting; pass ``params`` for statements with parameter
-        markers.  The positional ``costs`` form of the pre-1.4 signature
-        still works but is deprecated.
+        markers.
         """
-        resolved = _explain_options(deprecated, options, analyze, costs,
-                                    format)
-        return self._database.explain(self.sql, self.mode,
-                                      options=resolved,
-                                      engine=self.engine, params=params)
+        return self._database._explain(
+            self._statement, self.mode,
+            _explain_options(options, analyze, costs, format),
+            self.engine, params)
 
     def __repr__(self) -> str:
         return (f"PreparedStatement({self.sql!r}, mode={self.mode.name}, "
@@ -712,7 +684,8 @@ class Database:
 
     # -- queries -------------------------------------------------------------------
 
-    def execute(self, sql: str, mode: ExecutionMode | str = FULL,
+    def execute(self, sql: "str | Statement",
+                mode: ExecutionMode | str = FULL,
                 params: Params = None, *,
                 timeout: float | None = None,
                 row_budget: int | None = None,
@@ -761,21 +734,24 @@ class Database:
         ``CREATE MATERIALIZED VIEW name AS select``, ``DROP MATERIALIZED
         VIEW name`` and ``REFRESH MATERIALIZED VIEW name`` are routed to
         :attr:`matviews` and return a one-row status result.
+
+        The text is lexed once, here; a caller that already holds the
+        :class:`~repro.sql.Statement` (sessions, prepared statements)
+        passes it in place of the text.
         """
         resolved = self._resolve_mode(mode)
         resolved_engine = self._resolve_engine(engine)
-        matview_stmt = split_matview_ddl(sql)
-        if matview_stmt is not None:
-            return self._execute_matview_ddl(matview_stmt)
-        explain_stmt = split_explain(sql)
-        if explain_stmt is not None:
+        statement = (sql if isinstance(sql, Statement)
+                     else classify_statement(sql))
+        if statement.matview is not None:
+            return self._execute_matview_ddl(statement.matview)
+        if statement.explain:
             # SQL-level EXPLAIN [ANALYZE]: route through the unified
             # explain API and return the rendering as a one-column result.
-            inner_sql, analyze = explain_stmt
-            rendered = self.explain(
-                inner_sql, resolved,
-                options=ExplainOptions(analyze=analyze),
-                engine=resolved_engine, params=params)
+            rendered = self._explain(
+                statement, resolved,
+                ExplainOptions(analyze=statement.analyze),
+                resolved_engine, params)
             return QueryResult(["plan"],
                                [(line,) for line in rendered.split("\n")],
                                [DataType.VARCHAR])
@@ -791,7 +767,7 @@ class Database:
             gov.start()
         allow_rewrite = (self.matview_rewrite if use_matviews is None
                          else use_matviews)
-        entry = self._cached_plan(sql, resolved, gov,
+        entry = self._cached_plan(statement, resolved, gov,
                                   engine=resolved_engine,
                                   allow_rewrite=allow_rewrite)
         if entry.matview_name is not None and snapshot is not None:
@@ -802,9 +778,13 @@ class Database:
             try:
                 snapshot.get(entry.matview_name)
             except ReproError:
-                entry = self._cached_plan(sql, resolved, gov,
+                entry = self._cached_plan(statement, resolved, gov,
                                           engine=resolved_engine,
                                           allow_rewrite=False)
+        # The token stream and key are garbage once the plan is in hand:
+        # dropped before execution, so a long query does not carry a
+        # statement's worth of young objects through every collection.
+        del statement
         if entry.matview_name is not None:
             self.matviews.note_rewrite()
         values = bind_parameters(entry.parameters, params)
@@ -929,11 +909,11 @@ class Database:
                 f"ExecutionMode or one of: "
                 f"{', '.join(sorted(MODES))}") from None
 
-    def _cached_plan(self, sql: str, mode: ExecutionMode,
+    def _cached_plan(self, statement: Statement, mode: ExecutionMode,
                      gov: ResourceGovernor | None = None,
                      engine: str = "tuple",
                      allow_rewrite: bool = True) -> CachedPlan:
-        """The compiled form of ``sql``, from cache or built fresh.
+        """The compiled form of ``statement``, from cache or built fresh.
 
         Fault-tolerant: a failing plan-cache lookup is a cache miss, a
         failing insertion is skipped, and a cost-based-optimizer failure
@@ -952,7 +932,7 @@ class Database:
         are guaranteed view-free, so the snapshot-guard recompile in
         :meth:`execute` relies on exactly that invariant.
         """
-        sql_key = normalize_sql_key(sql)
+        sql_key = statement.key
         requested = allow_rewrite and self.matview_rewrite
         rewriting = requested and self.catalog.has_matviews()
         mode_key = mode.name
@@ -966,7 +946,7 @@ class Database:
         if entry is not None:
             return entry
         bound, fingerprint, matview_name, rewritten_sql = \
-            self._bind_with_rewrite(sql, rewriting)
+            self._bind_with_rewrite(statement, rewriting)
         table_names = frozenset(
             get.table_name.lower()
             for get in collect_nodes(bound.rel,
@@ -1023,9 +1003,9 @@ class Database:
                 pass  # uncached, but the compiled entry is still good
         return entry
 
-    def _bind_with_rewrite(self, sql: str, rewriting: bool):
-        """Bind ``sql``; when rewriting, try to substitute a matching
-        materialized view.
+    def _bind_with_rewrite(self, statement: Statement, rewriting: bool):
+        """Bind ``statement``; when rewriting, try to substitute a
+        matching materialized view.
 
         Returns ``(bound, fingerprint, matview_name, rewritten_sql)``.
         The substitution is accepted only when the rewritten query binds
@@ -1033,7 +1013,7 @@ class Database:
         discrepancy falls back to the original binding, so the rewrite
         can degrade silently but never change results.
         """
-        parsed = parse(sql)
+        parsed = parse(statement.sql, tokens=statement.tokens)
         bound = self._binder.bind(parsed)
         fingerprint = canonicalize(parsed)
         if (not rewriting or fingerprint is None
@@ -1109,7 +1089,7 @@ class Database:
         return analyzer.admissible(entry.rel, entry.plan)
 
     def explain(self, sql: str, mode: ExecutionMode | str = FULL,
-                *deprecated, options: ExplainOptions | None = None,
+                *, options: ExplainOptions | None = None,
                 analyze: bool = False, costs: bool = False,
                 format: str = "text", engine: str | None = None,
                 params: Params = None) -> "str | dict":
@@ -1126,20 +1106,21 @@ class Database:
         ``estimated_rows``, ``actual_rows``, ``q_error``, ``children``).
         All settings can be bundled in an :class:`ExplainOptions` via
         ``options=``, which the other explain entry points share.
-
-        The pre-1.4 positional ``costs`` argument
-        (``explain(sql, mode, True)``) still works but warns with
-        ``DeprecationWarning``.
         """
-        resolved = _explain_options(deprecated, options, analyze, costs,
-                                    format)
-        mode = self._resolve_mode(mode)
+        resolved = _explain_options(options, analyze, costs, format)
+        return self._explain(lex_query(sql), self._resolve_mode(mode),
+                             resolved, engine, params)
+
+    def _explain(self, statement: Statement, mode: ExecutionMode,
+                 resolved: ExplainOptions, engine: str | None,
+                 params: Params) -> "str | dict":
         if resolved.analyze:
-            return self._explain_analyze(sql, mode, resolved,
+            return self._explain_analyze(statement, mode, resolved,
                                          self._resolve_engine(engine),
                                          params)
         bound, _, matview_name, rewritten_sql = self._bind_with_rewrite(
-            sql, self.matview_rewrite and self.catalog.has_matviews())
+            statement,
+            self.matview_rewrite and self.catalog.has_matviews())
         normalized = normalize(bound.rel, mode.normalize_config)
         costed = None
         plan = None
@@ -1152,7 +1133,7 @@ class Database:
                 plan = optimizer.optimize(normalized)
         if resolved.format == "dict":
             payload: dict[str, Any] = {
-                "sql": sql, "mode": mode.name, "analyze": False,
+                "sql": statement.sql, "mode": mode.name, "analyze": False,
                 "logical": explain(normalized),
                 "plan": tree_dict(plan if plan is not None
                                   else normalized)}
@@ -1183,7 +1164,7 @@ class Database:
             ]
         return "\n".join(sections)
 
-    def _explain_analyze(self, sql: str, mode: ExecutionMode,
+    def _explain_analyze(self, statement: Statement, mode: ExecutionMode,
                          options: ExplainOptions, engine: str,
                          params: Params) -> "str | dict":
         """One profiled execution, rendered as an annotated plan tree.
@@ -1195,7 +1176,7 @@ class Database:
         observation is recorded into the feedback loop exactly as an
         ordinary feedback-enabled execution would.
         """
-        entry = self._cached_plan(sql, mode, engine=engine)
+        entry = self._cached_plan(statement, mode, engine=engine)
         values = bind_parameters(entry.parameters, params)
         profile: dict[Any, int] = {}
         started = time.monotonic()
@@ -1212,7 +1193,7 @@ class Database:
                              self._logical_estimates(entry.rel))
         stats.max_q_error = tree_max_q_error(tree)
         if options.format == "dict":
-            payload = {"sql": sql, "mode": mode.name,
+            payload = {"sql": statement.sql, "mode": mode.name,
                        "engine": entry.engine, "analyze": True,
                        "plan": tree, "row_count": len(rows),
                        "stats": stats.as_dict()}

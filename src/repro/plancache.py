@@ -30,28 +30,8 @@ from typing import Any, Callable, Hashable, Sequence
 
 from . import faultinject
 from .concurrency import TrackedLock
-from .errors import SqlSyntaxError
-from .sql.lexer import TokenType, tokenize
 from .stats_version import (DEFAULT_DRIFT_THRESHOLD, StatsSnapshot, capture,
                             drifted)
-
-
-def normalize_sql_key(sql: str) -> Hashable:
-    """A cache key for ``sql`` insensitive to whitespace and keyword case.
-
-    Built from the token stream, so ``SELECT  1`` and ``select 1`` share an
-    entry while ``select 1`` and ``select 2`` do not.  Unlexable text gets
-    the raw string as its key: the subsequent parse will raise the real
-    syntax error, and caching never masks it.  Only genuine syntax errors
-    are absorbed — a lexer *bug* (any non-:class:`SqlSyntaxError`)
-    propagates instead of being silently cached under the raw string.
-    """
-    try:
-        tokens = tokenize(sql)
-    except SqlSyntaxError:
-        return sql
-    return tuple((t.type.value, t.value) for t in tokens
-                 if t.type is not TokenType.EOF)
 
 
 @dataclass

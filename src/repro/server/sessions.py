@@ -42,6 +42,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from ..concurrency import TrackedLock
 from ..errors import (SessionClosed, TransactionConflict, TransactionError)
 from ..governor import OptimizerBudget, ResourceGovernor
+from ..sql import classify_statement
 from ..storage.table import Storage, StorageSnapshot, StoredTable
 
 _session_ids = itertools.count(1)
@@ -261,8 +262,8 @@ class Session:
         uncommitted rows (read-your-own-writes).
         """
         self._check_open()
-        from ..sql import split_matview_ddl  # deferred: avoid cycle
-        if split_matview_ddl(sql) is not None:
+        statement = classify_statement(sql)
+        if statement.matview is not None:
             self._no_ddl_in_txn()
         if self._txn is not None:
             snapshot = self._txn.view()
@@ -271,7 +272,8 @@ class Session:
         else:
             snapshot = self._db.storage.snapshot()
         result = self._db.execute(
-            sql, mode if mode is not None else self.default_mode, params,
+            statement, mode if mode is not None else self.default_mode,
+            params,
             engine=engine if engine is not None else self.default_engine,
             timeout=timeout, row_budget=row_budget,
             memory_budget=memory_budget,
@@ -305,22 +307,16 @@ class Session:
         self.stats.rows_inserted += count
         return count
 
-    def explain(self, sql: str, mode=None, *deprecated, options=None,
+    def explain(self, sql: str, mode=None, *, options=None,
                 analyze: bool = False, costs: bool = False,
                 format: str = "text", engine: str | None = None,
                 params=None) -> "str | dict":
-        """Explain through the unified API (see :meth:`Database.explain`).
-
-        Defaults the mode and engine to the session's; a positional
-        ``costs`` flag (pre-1.4 signature) still works but warns.
-        """
+        """Explain through the unified API (see :meth:`Database.explain`),
+        defaulting the mode and engine to the session's."""
         self._check_open()
-        from ..database import _explain_options  # deferred: avoid cycle
-        resolved = _explain_options(deprecated, options, analyze, costs,
-                                    format)
         return self._db.explain(
             sql, mode if mode is not None else self.default_mode,
-            options=resolved,
+            options=options, analyze=analyze, costs=costs, format=format,
             engine=engine if engine is not None else self.default_engine,
             params=params)
 

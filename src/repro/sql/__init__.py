@@ -25,8 +25,8 @@ Dialect (the subset the paper's examples and the TPC-H suite require):
 * ``--`` line comments; case-insensitive keywords and identifiers;
   ``"quoted"`` identifiers;
 * ``EXPLAIN [ANALYZE] <query>`` — statement-level prefix
-  (:func:`split_explain` / :func:`parse_statement`); ``ANALYZE``
-  executes once with per-operator row counting.
+  (:func:`classify_statement`); ``ANALYZE`` executes once with
+  per-operator row counting.
 
 Unsupported (documented): window functions, ``WITH``/CTEs (use views),
 ``RIGHT``/``FULL OUTER JOIN``, string functions (``substring`` — the Q22
@@ -35,9 +35,8 @@ variant substitutes ``c_nationkey``), correlated/lateral derived tables.
 
 from . import ast
 from .lexer import Token, TokenType, tokenize
-from .parser import (ExplainStatement, MatViewStatement, parse,
-                     parse_statement, split_explain, split_matview_ddl)
+from .parser import (MatViewStatement, Statement, classify_statement,
+                     lex_query, parse)
 
-__all__ = ["ExplainStatement", "MatViewStatement", "Token", "TokenType",
-           "ast", "parse", "parse_statement", "split_explain",
-           "split_matview_ddl", "tokenize"]
+__all__ = ["MatViewStatement", "Statement", "Token", "TokenType", "ast",
+           "classify_statement", "lex_query", "parse", "tokenize"]

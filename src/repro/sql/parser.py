@@ -14,8 +14,8 @@ Operator precedence (low to high):
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Hashable, Optional, Sequence
 
 from ..errors import SqlSyntaxError
 from .ast import (BetweenExpr, BinaryOp, BooleanLiteral, CaseExpr,
@@ -40,56 +40,16 @@ _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 MAX_NESTING_DEPTH = 64
 
 
-def parse(sql: str) -> Query:
-    """Parse one SQL query (SELECT or UNION ALL chain)."""
-    parser = _Parser(tokenize(sql))
+def parse(sql: str, *, tokens: Optional[list[Token]] = None) -> Query:
+    """Parse one SQL query (SELECT or UNION ALL chain).
+
+    ``tokens`` is ``sql``'s token stream when the caller already holds it
+    (:class:`Statement`), so the text is not lexed a second time.
+    """
+    parser = _Parser(tokens if tokens is not None else tokenize(sql))
     query = parser.parse_query()
     parser.expect_eof()
     return query
-
-
-@dataclass(frozen=True)
-class ExplainStatement:
-    """``EXPLAIN [ANALYZE] <query>``: a request for the query's plan
-    (and, with ANALYZE, for one profiled execution of it)."""
-
-    query: Query
-    analyze: bool = False
-    #: The inner query's original text, so callers that key caches on SQL
-    #: (the database facade) can reuse their text-based pipeline.
-    query_sql: str = ""
-
-
-def parse_statement(sql: str) -> "Query | ExplainStatement":
-    """Parse one statement: a query, or ``EXPLAIN [ANALYZE] <query>``."""
-    split = split_explain(sql)
-    if split is None:
-        return parse(sql)
-    inner_sql, analyze = split
-    return ExplainStatement(parse(inner_sql), analyze, inner_sql)
-
-
-def split_explain(sql: str) -> Optional[tuple[str, bool]]:
-    """``(inner_sql, analyze)`` when ``sql`` is an EXPLAIN statement.
-
-    Returns ``None`` for ordinary queries — including unlexable text, so
-    the caller's normal parse path reports the real syntax error.  The
-    inner SQL is the original text with the ``EXPLAIN [ANALYZE]`` prefix
-    sliced off (comments and layout preserved), which keeps downstream
-    SQL-keyed caches consistent with executing the query directly.
-    """
-    try:
-        tokens = tokenize(sql)
-    except SqlSyntaxError:
-        return None
-    if not tokens or not tokens[0].matches_keyword("explain"):
-        return None
-    analyze = tokens[1].matches_keyword("analyze")
-    rest = tokens[2] if analyze else tokens[1]
-    if rest.type is TokenType.EOF:
-        raise SqlSyntaxError("expected a query after EXPLAIN",
-                             rest.line, rest.column)
-    return sql[_token_offset(sql, rest):], analyze
 
 
 @dataclass(frozen=True)
@@ -99,7 +59,7 @@ class MatViewStatement:
     ``kind`` is ``"create"`` (``CREATE MATERIALIZED VIEW name AS
     <query>``), ``"drop"`` or ``"refresh"``; ``sql`` carries the
     defining query's original text for ``create`` (layout preserved,
-    like :func:`split_explain`) and is empty otherwise.
+    like an ``EXPLAIN`` prefix slice) and is empty otherwise.
     """
 
     kind: str
@@ -107,37 +67,100 @@ class MatViewStatement:
     sql: str = ""
 
 
-def split_matview_ddl(sql: str) -> Optional[MatViewStatement]:
+@dataclass(frozen=True)
+class Statement:
+    """One statement's text, lexed once.
+
+    ``sql`` is the query text; ``key`` its plan-cache key, insensitive to
+    whitespace, comments and keyword case (``SELECT  1`` and ``select 1``
+    share an entry, ``select 1`` and ``select 2`` do not); ``tokens`` the
+    stream :func:`parse` may reuse.  Unlexable text keeps the raw string
+    as its key and no tokens: the subsequent parse raises the real syntax
+    error, and caching never masks it.
+
+    For ``EXPLAIN [ANALYZE] <query>`` (``explain`` set), ``sql`` is the
+    original text with the prefix sliced off — comments and layout
+    preserved — and ``key`` is the inner query's, so explaining a query
+    and executing it directly share one cache entry.  Its ``tokens`` are
+    ``None``: the stream's positions count from the start of the prefix,
+    and syntax errors are reported relative to the sliced text.
+    """
+
+    sql: str
+    key: Hashable
+    tokens: Optional[list[Token]] = None
+    explain: bool = False
+    analyze: bool = False
+    matview: Optional[MatViewStatement] = None
+
+
+def _token_key(tokens: Sequence[Token]) -> Hashable:
+    return tuple((t.type.value, t.value) for t in tokens
+                 if t.type is not TokenType.EOF)
+
+
+def lex_query(sql: str) -> Statement:
+    """``sql`` as a plain query, lexed but not classified — for the entry
+    points that accept queries only (``prepare``, ``explain``), where an
+    ``EXPLAIN`` or DDL prefix is the parser's syntax error to report.
+
+    Only genuine syntax errors make text unlexable — a lexer *bug* (any
+    non-:class:`SqlSyntaxError`) propagates instead of being silently
+    cached under the raw string.
+    """
+    try:
+        tokens = tokenize(sql)
+    except SqlSyntaxError:
+        return Statement(sql, sql)
+    return Statement(sql, _token_key(tokens), tokens)
+
+
+def classify_statement(sql: str) -> Statement:
+    """Lex ``sql`` once and classify it by its leading tokens: a query,
+    ``EXPLAIN [ANALYZE] <query>``, or materialized-view DDL."""
+    statement = lex_query(sql)
+    tokens = statement.tokens
+    if tokens is None:
+        return statement
+    matview = _matview_ddl(sql, tokens)
+    if matview is not None:
+        return replace(statement, matview=matview)
+    if not tokens[0].matches_keyword("explain"):
+        return statement
+    analyze = tokens[1].matches_keyword("analyze")
+    start = 2 if analyze else 1
+    rest = tokens[start]
+    if rest.type is TokenType.EOF:
+        raise SqlSyntaxError("expected a query after EXPLAIN",
+                             rest.line, rest.column)
+    return Statement(sql[_token_offset(sql, rest):],
+                     _token_key(tokens[start:]), explain=True,
+                     analyze=analyze)
+
+
+def _matview_ddl(sql: str,
+                 tokens: list[Token]) -> Optional[MatViewStatement]:
     """Recognize ``CREATE | DROP | REFRESH MATERIALIZED VIEW`` statements.
 
-    Returns ``None`` for anything else — including unlexable text and
-    statements starting with a line comment, so ordinary queries always
-    take the normal parse path and report their own syntax errors.
+    Returns ``None`` for anything else — including statements starting
+    with a line comment, which always take the normal parse path.
     ``CREATE``/``MATERIALIZED``/``VIEW`` are not reserved words (they lex
     as identifiers), which keeps them usable as column names everywhere
     else.
     """
-    head = sql.lstrip()[:8].lower()
-    if not (head.startswith("create") or head.startswith("drop")
-            or head.startswith("refresh")):
+    first = tokens[0]
+    if (first.type is not TokenType.IDENT
+            or first.value not in ("create", "drop", "refresh")
+            # the word must open the text itself: not behind a comment,
+            # not a quoted identifier
+            or sql.lstrip()[:len(first.value)].lower() != first.value):
         return None
-    try:
-        tokens = tokenize(sql)
-    except SqlSyntaxError:
-        return None
+    kind = first.value
 
     def word(index: int, text: str) -> bool:
         token = tokens[min(index, len(tokens) - 1)]
         return token.type is TokenType.IDENT and token.value == text
 
-    if word(0, "create"):
-        kind = "create"
-    elif word(0, "drop"):
-        kind = "drop"
-    elif word(0, "refresh"):
-        kind = "refresh"
-    else:
-        return None
     if not (word(1, "materialized") and word(2, "view")):
         return None
     name_token = tokens[min(3, len(tokens) - 1)]

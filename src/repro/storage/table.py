@@ -194,27 +194,6 @@ class StoredTable:
         vectorized engine's native scan entry point."""
         return self._store.scan_units()
 
-    def column_chunks(self, batch_size: int) -> Iterator[tuple[list[list], int]]:
-        """Yield ``(columns, nrows)`` chunks of at most ``batch_size`` rows.
-
-        Chunks follow storage-chunk boundaries: a storage chunk wider
-        than ``batch_size`` is sliced, one that fits is yielded whole
-        (sharing the chunk's cached decoded lists, no copy).  The last
-        piece of each storage chunk may be short; an empty table yields
-        nothing.
-        """
-        if batch_size < 1:
-            raise ExecutionError("batch_size must be at least 1")
-        for unit in self._store.scan_units():
-            cols = unit.columns()
-            total = unit.nrows
-            if total <= batch_size:
-                yield cols, total
-                continue
-            for start in range(0, total, batch_size):
-                stop = min(start + batch_size, total)
-                yield [col[start:stop] for col in cols], stop - start
-
     def seal(self, encodings: Sequence[str] | None = None) -> None:
         """Seal the mutable tail into an encoded chunk (test hook; the
         store also seals automatically every ``chunk_rows`` inserts)."""

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.algebra import DataType
+from repro.algebra import (Column, ColumnRef, Comparison, DataType, Get,
+                           Literal, Select)
 from repro.catalog import (Catalog, ColumnDef, IndexDef, TableDef,
                            compute_table_stats)
+from repro.core.optimizer import Estimator
 from repro.errors import CatalogError, ExecutionError
 from repro.storage import Storage, StoredTable
 from repro.storage.index import HashIndex, OrderedIndex
@@ -208,14 +210,23 @@ class TestStatisticsHelpers:
         assert stats.row_count == 0
         assert stats.column("a").distinct_count == 0
 
+    # Selectivity has one implementation, the optimizer's estimator;
+    # these pin what it derives from the computed column statistics.
+
+    @staticmethod
+    def _estimated_rows(stats, op, value):
+        a = Column("a", DataType.INTEGER, nullable=True)
+        select = Select(Get("t", [a], []),
+                        Comparison(op, ColumnRef(a), Literal(value)))
+        return Estimator(lambda name: stats).estimate(select).rows
+
     def test_selectivity_equals(self):
         stats = compute_table_stats(["a"], [(1,), (2,), (2,), (None,)])
-        col = stats.column("a")
-        sel = col.selectivity_equals(4)
-        assert sel == pytest.approx((3 / 4) / 2)
+        assert self._estimated_rows(stats, "=", 2) == pytest.approx(4 / 2)
 
     def test_selectivity_range(self):
         stats = compute_table_stats(["a"], [(i,) for i in range(101)])
-        col = stats.column("a")
-        assert col.selectivity_range("<", 50, 101) == pytest.approx(0.5, abs=0.01)
-        assert col.selectivity_range(">", 75, 101) == pytest.approx(0.25, abs=0.01)
+        assert self._estimated_rows(stats, "<", 50) == \
+            pytest.approx(0.5 * 101, abs=1.01)
+        assert self._estimated_rows(stats, ">", 75) == \
+            pytest.approx(0.25 * 101, abs=1.01)

@@ -8,7 +8,7 @@ from repro.algebra.relational import ConstantScan, Select
 from repro.algebra.scalar import Literal
 from repro.core.normalize import (MAX_PLAN_DEPTH, check_plan_depth,
                                   normalize, tree_depth)
-from repro.plancache import normalize_sql_key
+from repro.sql import classify_statement
 from repro.sql.parser import MAX_NESTING_DEPTH, parse
 
 
@@ -99,16 +99,16 @@ class TestNormalizerCap:
 class TestPlanCacheKeyHardening:
     def test_unparsable_sql_falls_back_to_raw_text(self):
         broken = "select 'oops"  # unterminated string → SqlSyntaxError
-        assert normalize_sql_key(broken) == broken
+        assert classify_statement(broken).key == broken
 
     def test_valid_sql_is_canonicalized(self):
-        a = normalize_sql_key("SELECT  a   FROM t")
-        b = normalize_sql_key("select a from t")
+        a = classify_statement("SELECT  a   FROM t").key
+        b = classify_statement("select a from t").key
         assert a == b
 
     def test_non_syntax_bugs_are_not_swallowed(self):
         # The old bare `except Exception` hid genuine lexer/driver bugs;
         # only SqlSyntaxError may trigger the raw-text fallback.
         with pytest.raises(Exception) as info:
-            normalize_sql_key(None)
+            classify_statement(None).key
         assert not isinstance(info.value, SqlSyntaxError)

@@ -3,9 +3,9 @@
 Covers the full loop — executors count actual rows per operator, the
 feedback loop computes Q-errors and persists corrections, misestimated
 cached plans are flagged stale and re-optimized against corrected
-statistics — plus the unified explain API (``ExplainOptions``, the
-deprecated positional ``costs``, SQL-level ``EXPLAIN [ANALYZE]``, dict
-format) and the wire-level ``stats`` round-trip.
+statistics — plus the unified explain API (``ExplainOptions``,
+SQL-level ``EXPLAIN [ANALYZE]``, dict format) and the wire-level
+``stats`` round-trip.
 """
 
 import json
@@ -223,32 +223,7 @@ class TestFeedbackChaos:
 # -- unified explain API -------------------------------------------------------
 
 
-def _reset_positional_warning():
-    """The positional-costs deprecation warns once per process; reset
-    the latch so each test observes a fresh first use."""
-    import repro.database as _database
-    _database._positional_costs_warned = False
-
-
 class TestExplainApi:
-    def test_positional_costs_deprecated(self):
-        db = skewed_db()
-        _reset_positional_warning()
-        with pytest.warns(DeprecationWarning):
-            rendered = db.explain(SKEW_SQL, FULL, True)
-        assert "-- estimates --" in rendered
-
-    def test_positional_costs_warns_once_per_process(self):
-        db = skewed_db()
-        _reset_positional_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                db.explain(SKEW_SQL, FULL, True)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
     def test_keyword_costs_does_not_warn(self):
         db = skewed_db()
         with warnings.catch_warnings():
@@ -262,14 +237,6 @@ class TestExplainApi:
                               options=ExplainOptions(costs=True))
         assert "-- estimates --" in rendered
 
-    def test_positional_plus_options_rejected(self):
-        db = skewed_db()
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                db.explain(SKEW_SQL, FULL, True,
-                           options=ExplainOptions())
-
     def test_invalid_format_rejected(self):
         with pytest.raises(ValueError):
             ExplainOptions(format="xml")
@@ -280,9 +247,6 @@ class TestExplainApi:
     def test_prepared_explain_unified(self):
         db = skewed_db()
         prepared = db.prepare(SKEW_SQL)
-        _reset_positional_warning()
-        with pytest.warns(DeprecationWarning):
-            prepared.explain(True)
         analyzed = prepared.explain(analyze=True)
         assert "-- execution --" in analyzed
         assert "actual=" in analyzed

@@ -8,8 +8,6 @@ plan), per-commit incremental maintenance, DDL invalidation, the
 plan-cache-mining advisor, and the session-level gating rules.
 """
 
-import warnings
-
 import pytest
 
 from repro import (FULL, NAIVE, CatalogError, Database, DataType,
@@ -17,7 +15,7 @@ from repro import (FULL, NAIVE, CatalogError, Database, DataType,
 from repro.matview import (AggSpec, MatViewDef, auto_materialize,
                            canonicalize, local_aggregate, match_rewrite,
                            merge, recommend)
-from repro.sql import parse, split_matview_ddl
+from repro.sql import classify_statement, parse
 
 
 def fresh_db(**kwargs):
@@ -41,7 +39,10 @@ def both_ways(db, sql, params=None):
 
 
 class TestMatViewDdl:
-    def test_split_matview_ddl_detects_statements(self):
+    def test_classify_statement_detects_matview_ddl(self):
+        def split_matview_ddl(sql):
+            return classify_statement(sql).matview
+
         create = split_matview_ddl(
             "CREATE MATERIALIZED VIEW mv AS SELECT g, count(*) AS n "
             "FROM t GROUP BY g")
@@ -458,20 +459,3 @@ class TestPlanCacheIntegration:
         entries = [e for e in db.plan_cache.entries()
                    if e.fingerprint is not None]
         assert entries and max(e.hits for e in entries) >= 2
-
-
-# -- deprecation regression (positional costs) ---------------------------------
-
-
-class TestPositionalCostsWarnOnce:
-    def test_warns_exactly_once_per_process(self):
-        import repro.database as database_module
-        db = fresh_db()
-        database_module._positional_costs_warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(4):
-                db.explain("SELECT g FROM t", FULL, True)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1

@@ -1,9 +1,12 @@
 """Plan cache behaviour: hits, LRU, DDL invalidation, staleness."""
 
+import sys
+
 import pytest
 
-from repro import Database, DataType, PlanCache
-from repro.plancache import CachedPlan, normalize_sql_key
+from repro import Database, DataType, PlanCache, SqlSyntaxError
+from repro.plancache import CachedPlan
+from repro.sql import classify_statement
 from repro.stats_version import StatsSnapshot, capture, drifted
 
 
@@ -14,6 +17,27 @@ def make_db(**kwargs) -> Database:
                     primary_key=("a",))
     db.insert("t", [(1, "x"), (2, "y"), (3, "z")])
     return db
+
+
+def normalize_sql_key(sql):
+    return classify_statement(sql).key
+
+
+def count_lexer_calls(monkeypatch) -> list:
+    """Swap ``tokenize`` for a recording wrapper in every ``repro``
+    namespace that imported it; returns the list the calls land in."""
+    from repro.sql.lexer import tokenize
+    calls = []
+
+    def recording(text):
+        calls.append(text)
+        return tokenize(text)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "repro"
+                and getattr(module, "tokenize", None) is tokenize):
+            monkeypatch.setattr(module, "tokenize", recording)
+    return calls
 
 
 class TestKeyNormalization:
@@ -41,6 +65,73 @@ class TestHitsAndMisses:
         db.execute("SELECT a FROM t")  # same statement modulo lexing
         assert db.plan_cache.stats.hits == 2
         assert db.plan_cache.stats.misses == 1
+
+    @pytest.mark.parametrize("first, again, lexable", [
+        ("select a from t where a > 1",
+         "SELECT a\n  FROM t   WHERE a > 1", True),
+        ("-- c\nEXPLAIN ANALYZE select a from t",
+         "-- c\nexplain analyze\n  SELECT a FROM t", True),
+        # ``/* */`` is not a comment in this dialect, and ``$`` does not
+        # lex: both must surface the parser's / lexer's real error.
+        ("/* c */ refresh materialized view v",
+         "/* c */ refresh materialized view v", False),
+        ("select $$$", "select $$$", False),
+    ])
+    def test_statement_is_lexed_once(self, monkeypatch, first, again,
+                                     lexable):
+        """A cache hit runs the lexer exactly once and a miss at most
+        twice, whatever the statement kind; the cached answer equals the
+        freshly compiled one."""
+        db = make_db()
+        calls = count_lexer_calls(monkeypatch)
+
+        def stable(result):  # EXPLAIN ANALYZE reports its elapsed time
+            return [row for row in result.rows
+                    if not str(row[0]).startswith("elapsed:")]
+
+        if not lexable:
+            for sql in (first, again):
+                del calls[:]
+                with pytest.raises(SqlSyntaxError):
+                    db.execute(sql)
+                assert len(calls) <= 2
+            assert len(db.plan_cache) == 0
+            return
+        fresh = db.execute(first)
+        assert 1 <= len(calls) <= 2
+        assert db.plan_cache.stats.misses == 1
+        del calls[:]
+        cached = db.execute(again)
+        assert len(calls) == 1
+        assert db.plan_cache.stats.hits == 1
+        assert db.plan_cache.stats.misses == 1
+        assert stable(cached) == stable(fresh)
+
+    def test_lexed_statement_is_released_before_execution(self, monkeypatch):
+        """Execution must not hold the statement's tokens and key alive:
+        a long query would carry them through every collection it
+        triggers (on the benchmark that moved a full-collection pause
+        from one TPC-H query into another)."""
+        import weakref
+
+        import repro.database as database
+        db = make_db()
+        lexed = []
+        classify = database.classify_statement
+        run_entry = database.Database._run_entry
+
+        def classifying(sql):
+            statement = classify(sql)
+            lexed.append(weakref.ref(statement))
+            return statement
+
+        def running(self, *args, **kwargs):
+            assert lexed and all(ref() is None for ref in lexed)
+            return run_entry(self, *args, **kwargs)
+
+        monkeypatch.setattr(database, "classify_statement", classifying)
+        monkeypatch.setattr(database.Database, "_run_entry", running)
+        assert db.execute("select a from t").rows == [(1,), (2,), (3,)]
 
     def test_modes_do_not_share_entries(self):
         db = make_db()
