@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 
 class AggregateFunction(enum.Enum):

@@ -17,16 +17,14 @@ All functions are pure; they walk the immutable tree on demand.
 
 from __future__ import annotations
 
-from .aggregates import AggregateFunction
-from .columns import Column, ColumnSet
+from .columns import ColumnSet
 from .funcdeps import FDSet
 from .relational import (Apply, ConstantScan, Difference, Get, GroupBy,
                          Join, JoinKind, LocalGroupBy, Max1row, Project,
                          RelationalOp, ScalarGroupBy, SegmentApply,
                          SegmentRef, Select, Sort, Top, UnionAll)
-from .scalar import (AggregateCall, And, Arithmetic, Case, ColumnRef,
-                     Comparison, InList, IsNull, Like, Literal, Negate, Not,
-                     Or, ScalarExpr, conjuncts)
+from .scalar import (And, Arithmetic, ColumnRef, Comparison, InList, IsNull,
+                     Like, Literal, Negate, Not, Or, ScalarExpr, conjuncts)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,8 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .aggregates import AggregateFunction
 from .columns import Column, ColumnSet
-from .scalar import (AggregateCall, ColumnRef, Literal, ScalarExpr,
-                     conjunction)
+from .scalar import AggregateCall, ColumnRef, Literal, ScalarExpr
 
 
 class JoinKind(enum.Enum):

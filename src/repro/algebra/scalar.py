@@ -21,7 +21,7 @@ the basis of the correlation (outer-reference) analysis.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .aggregates import AggregateFunction, descriptor
 from .columns import Column, ColumnSet

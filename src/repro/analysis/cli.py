@@ -38,20 +38,16 @@ def split_statements(text: str) -> list[str]:
 
 
 def lint_statement(db: Database, sql: str, *,
-                   explain_out: bool = False,
                    explain_options: ExplainOptions | None = None,
                    out=sys.stdout) -> list[AnalysisIssue]:
     """Check one statement at every pipeline stage; returns all issues.
 
-    ``explain_options`` (or the legacy ``explain_out=True``, equivalent
-    to default options) also prints the bound tree and then the unified
+    ``explain_options`` also prints the bound tree and then the unified
     :meth:`Database.explain` rendering — the same output every other
     explain entry point produces.
     """
     from ..sql import parse
 
-    if explain_out and explain_options is None:
-        explain_options = ExplainOptions()
     mode = db._resolve_mode("full")
     issues: list[AnalysisIssue] = []
 

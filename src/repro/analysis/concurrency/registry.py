@@ -68,6 +68,7 @@ HELD_ON_ENTRY: dict[tuple[str, str], tuple[str, ...]] = {
     ("Storage", "install_many"): ("storage.writer",),
     ("DurabilityManager", "log_commit"): ("storage.writer",),
     ("DurabilityManager", "log_ddl"): ("db.ddl",),
+    ("Database", "_apply_ddl"): ("db.ddl",),
     ("_Transaction", "commit"): ("storage.writer",),
     ("_Transaction", "_release"): ("storage.writer",),
     ("MatViewManager", "prepare_commit"): ("storage.writer",),

@@ -21,14 +21,14 @@ import datetime
 from dataclasses import dataclass
 from typing import Optional
 
-from ..algebra import (AggregateCall, AggregateFunction, And, Arithmetic,
-                       Case, Column, ColumnRef, Comparison, ConstantScan,
-                       DataType, ExistsSubquery, Get, GroupBy, InList,
-                       InSubquery, Interval, IsNull, Join, JoinKind, Like,
-                       Literal, Max1row, Negate, Not, Or, Parameter,
-                       Project, QuantifiedComparison, RelationalOp,
-                       ScalarExpr, ScalarGroupBy, ScalarSubquery, Select,
-                       Sort, Top, UnionAll, conjunction, max_one_row)
+from ..algebra import (AggregateCall, AggregateFunction, And, Arithmetic, Case,
+                       Column, ColumnRef, Comparison, ConstantScan, DataType,
+                       ExistsSubquery, Get, GroupBy, InList, InSubquery,
+                       Interval, IsNull, Join, JoinKind, Like, Literal,
+                       Max1row, Negate, Not, Or, Parameter, Project,
+                       QuantifiedComparison, RelationalOp, ScalarExpr,
+                       ScalarGroupBy, ScalarSubquery, Select, Sort, Top,
+                       UnionAll, max_one_row)
 from ..catalog import Catalog, TableDef
 from ..errors import BindError
 from ..sql import ast

@@ -7,7 +7,7 @@ statistics (see :mod:`repro.catalog.statistics`) feed cardinality estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..algebra.datatypes import DataType

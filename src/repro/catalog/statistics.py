@@ -15,7 +15,7 @@ optimize → execute → observe loop.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from ..concurrency import TrackedLock

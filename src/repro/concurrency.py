@@ -42,7 +42,7 @@ import os
 import sys
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 __all__ = [

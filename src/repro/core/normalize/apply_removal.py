@@ -27,15 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...algebra import (AggregateCall, AggregateFunction, Apply, Case,
-                        Column, ColumnRef, ColumnSet, ConstantScan,
-                        DataType, Difference, GroupBy, IsNull, Join,
+from ...algebra import (AggregateCall, AggregateFunction, Apply, Case, Column,
+                        ColumnRef, DataType, Difference, GroupBy, IsNull, Join,
                         JoinKind, Literal, LocalGroupBy, Max1row, Project,
-                        RelationalOp, ScalarExpr, ScalarGroupBy, Select,
-                        Sort, Top, UnionAll, clone_with_fresh_columns,
-                        conjunction, has_key, max_one_row,
-                        strict_columns, substitute_outer_columns,
-                        transform_bottom_up)
+                        RelationalOp, ScalarExpr, ScalarGroupBy, Select, Sort,
+                        Top, UnionAll, clone_with_fresh_columns, conjunction,
+                        has_key, max_one_row, strict_columns,
+                        substitute_outer_columns, transform_bottom_up)
 
 
 @dataclass

@@ -28,7 +28,7 @@ remaining correlations live in Apply operators, ready for Apply removal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...algebra import (AggregateCall, AggregateFunction, Apply, Case,
                         Column, ColumnRef, Comparison, DataType,

@@ -10,13 +10,10 @@ duplicate-elimination removal when the input is already key-unique.
 
 from __future__ import annotations
 
-from typing import Any
-
-from ...algebra import (And, Apply, Case, ColumnRef, GroupBy, Join,
-                        JoinKind, Literal, Max1row, Not, Or, Parameter,
-                        Project, RelationalOp, ScalarExpr, Select, Sort,
-                        Top, conjunction, conjuncts, derive_keys,
-                        max_one_row, transform_bottom_up)
+from ...algebra import (And, Case, ColumnRef, GroupBy, Literal, Max1row, Or,
+                        Parameter, Project, RelationalOp, ScalarExpr, Select,
+                        Sort, conjunction, conjuncts, derive_keys, max_one_row,
+                        transform_bottom_up)
 from ...algebra.scalar import AggregateCall
 
 

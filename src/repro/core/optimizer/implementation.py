@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ... import faultinject
-from ...algebra import (Apply, ColumnRef, Comparison, ConstantScan,
-                        Difference, Get, GroupBy, Join, JoinKind, Literal,
-                        LocalGroupBy, Max1row, Project, RelationalOp,
-                        ScalarExpr, ScalarGroupBy, SegmentApply, SegmentRef,
-                        Select, Sort, Top, UnionAll, conjunction, conjuncts)
+from ...algebra import (Apply, ColumnRef, Comparison, ConstantScan, Difference,
+                        Get, GroupBy, Join, Literal, LocalGroupBy, Max1row,
+                        Project, RelationalOp, ScalarExpr, ScalarGroupBy,
+                        SegmentApply, SegmentRef, Select, Sort, Top, UnionAll,
+                        conjunction, conjuncts)
 from ...errors import PlanError
 from ...physical.plan import (PConstantScan, PDifference, PFilter,
                               PHashAggregate, PHashJoin, PIndexSeek,
@@ -28,7 +28,6 @@ from ...physical.plan import (PConstantScan, PDifference, PFilter,
                               PSegmentRef, PSort, PStreamAggregate,
                               PTableScan, PTop, PTopN, PUnionAll,
                               PhysicalOp)
-from .cardinality import Estimate
 from .memo import GroupExpr, GroupRefLeaf, Memo
 
 

@@ -11,10 +11,10 @@ practice (greedy/GOO seeding ahead of transformation-based search).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ...algebra import (Join, JoinKind, Project, RelationalOp, ScalarExpr,
-                        conjunction, conjuncts, transform_bottom_up)
+                        conjunction, conjuncts)
 from .cardinality import Estimator
 
 

@@ -20,7 +20,7 @@ optimized recursively at implementation time with per-segment statistics.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ... import faultinject
 from ...algebra import (Column, RelationalOp, SegmentApply, derive_fds,

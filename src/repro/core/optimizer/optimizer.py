@@ -11,7 +11,7 @@ the benchmark harness uses these switches as the paper's "systems" axis
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from ... import faultinject

@@ -10,8 +10,6 @@ and index-lookup implementation rules.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ...algebra import (Apply, ColumnRef, Difference, GroupBy, Join,
                         JoinKind, LocalGroupBy, Max1row, Project,
                         RelationalOp, ScalarExpr, ScalarGroupBy,

@@ -25,14 +25,13 @@ reorderings needed to connect them):
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from ...algebra import (AggregateCall, AggregateFunction, Apply, Case,
-                        Column, ColumnRef, ColumnSet, Comparison, GroupBy,
-                        IsNull, Join, JoinKind, Literal, LocalGroupBy,
-                        Project, RelationalOp, ScalarExpr, Select,
-                        conjunction, conjuncts, derive_fds, derive_keys,
-                        descriptor)
+from ...algebra import (AggregateCall, AggregateFunction, Case, Column,
+                        ColumnRef, GroupBy, IsNull, Join, JoinKind, Literal,
+                        LocalGroupBy, Project, RelationalOp, ScalarExpr,
+                        Select, conjunction, conjuncts, derive_fds,
+                        derive_keys)
 from ...algebra.scalar import Arithmetic
 from .memo import GroupRefLeaf, Memo
 

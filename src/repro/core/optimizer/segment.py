@@ -28,12 +28,11 @@ variant and keeps the cheapest plan.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from ...algebra import (AggregateCall, Column, ColumnRef, Comparison,
-                        GroupBy, Join, JoinKind, Project, RelationalOp,
-                        ScalarGroupBy, SegmentApply, SegmentRef, Select,
-                        collect_nodes, conjunction, conjuncts, derive_fds,
+from ...algebra import (AggregateCall, Column, ColumnRef, Comparison, GroupBy,
+                        Join, JoinKind, Project, RelationalOp, SegmentApply,
+                        SegmentRef, Select, conjunction, conjuncts, derive_fds,
                         derive_keys, plan_signature, transform_bottom_up)
 
 

@@ -2,247 +2,59 @@
 
 ``Database`` owns a catalog and in-memory storage and executes SQL through
 parse → bind (algebrize) → normalize (decorrelate) → cost-based optimize →
-physical execution.  ``ExecutionMode`` bundles the paper-relevant
-configurations:
+physical execution.  Two rules keep it a facade:
 
-* ``FULL`` — every technique (the paper's system);
-* ``DECORRELATE_ONLY`` — subquery flattening but no GroupBy reordering,
-  local aggregates or segmented execution;
-* ``CORRELATED`` — normalization keeps Apply (no flattening); execution is
-  nested-loops correlated, though the executor may still pick indexes;
-* ``NAIVE`` — direct interpretation of the bound tree with mutual
-  scalar/relational recursion (the paper's Section 2.1 strawman).
+* **one compile pipeline** — :meth:`Database._compile` is the only place a
+  statement is parsed, bound, normalized, verified and optimized.
+  ``execute`` and ``prepare`` cache its result, ``EXPLAIN`` renders it,
+  ``plan`` returns its plan, and ``EXPLAIN ANALYZE`` *is* ``execute``
+  with a profile;
+* **one DDL applier** — a catalog change is a record: live DDL validates,
+  logs it and applies it through the function WAL replay and checkpoint
+  loading use (:mod:`repro.recovery`).
+
+Re-exported here: modes and engines (:mod:`repro.modes`),
+:class:`QueryResult` and parameter binding (:mod:`repro.result`),
+:class:`ExplainOptions` (:mod:`repro.explain`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import (Any, Iterable, Iterator, Mapping, Optional, Sequence,
-                    Union)
+from dataclasses import replace
+from typing import Any, Iterable, Sequence
 
-from .algebra import DataType, Get, RelationalOp, collect_nodes, explain
+from .algebra import DataType, Get, RelationalOp, collect_nodes
 from .analysis import PlanAnalyzer
-from .binder import Binder, BoundQuery
+from .binder import Binder
 from .catalog import Catalog, ColumnDef, IndexDef, TableDef
-from .catalog.catalog import (index_def_from_dict, index_def_to_dict,
-                              table_def_from_dict)
+from .catalog.catalog import index_def_to_dict
 from .catalog.statistics import CorrectionStore
 from .concurrency import TrackedLock, TrackedRLock
-from .core.normalize import NormalizeConfig, normalize
-from .core.optimizer import Optimizer, OptimizerConfig
-from .durability import (DEFAULT_CHECKPOINT_BYTES, DurabilityManager,
-                         RecoveryState)
-from .durability.codec import decode_row
+from .core.normalize import normalize
+from .core.optimizer import Estimator, Optimizer
+from .durability import DEFAULT_CHECKPOINT_BYTES, DurabilityManager
 from .errors import (BindError, CatalogError, DurabilityError,
                      ExecutionError, InjectedFault,
-                     OptimizerBudgetExceeded, ParameterError, PlanError,
-                     RecoveryError, ReproError)
+                     OptimizerBudgetExceeded, PlanError, ReproError)
 from .executor import NaiveInterpreter
 from .executor.physical import PhysicalExecutor
+from .executor.vector_expressions import split_conjuncts
 from .executor.vectorized import DEFAULT_BATCH_SIZE, VectorizedExecutor
-from .feedback import (DEFAULT_Q_ERROR_THRESHOLD, FeedbackLoop,
-                       render_tree, tree_dict, tree_max_q_error)
+from .explain import ExplainOptions, explain_options, render
+from .feedback import DEFAULT_Q_ERROR_THRESHOLD, FeedbackLoop
 from .governor import OptimizerBudget, QueryStats, ResourceGovernor
-from .matview import MatViewDef, MatViewManager, canonicalize, match_rewrite
-from .physical import PhysicalOp, explain_physical
+from .matview import MatViewManager, canonicalize
+from .modes import (CORRELATED, DECORRELATE_ONLY, NAIVE,  # noqa: F401
+                    ENGINES, FULL, MODES, ExecutionMode)
+from .physical import PhysicalOp
 from .plancache import CachedPlan, PlanCache
+from .recovery import apply_record, recover
+from .result import Params, QueryResult, bind_parameters
 from .sql import (MatViewStatement, Statement, classify_statement,
                   lex_query, parse)
-from .executor.vector_expressions import split_conjuncts
 from .storage import DEFAULT_CHUNK_ROWS, Storage
 from .storage.columnar import compile_zone_filters
-
-#: Parameter bindings accepted by ``execute``: a sequence for positional
-#: ``?`` markers (also accepted, in slot order, for named ones) or a
-#: mapping for ``:name`` markers.
-Params = Union[Sequence[Any], Mapping[str, Any], None]
-
-
-@dataclass(frozen=True)
-class ExecutionMode:
-    """One engine configuration (normalization + optimizer switches)."""
-
-    name: str
-    normalize_config: NormalizeConfig = field(default_factory=NormalizeConfig)
-    optimizer_config: OptimizerConfig = field(default_factory=OptimizerConfig)
-    use_naive_interpreter: bool = False
-
-
-FULL = ExecutionMode("full")
-
-DECORRELATE_ONLY = ExecutionMode(
-    "decorrelate_only",
-    optimizer_config=OptimizerConfig(
-        groupby_reorder=False, local_aggregates=False, segment_apply=False,
-        semijoin_rewrites=False))
-
-CORRELATED = ExecutionMode(
-    "correlated",
-    normalize_config=NormalizeConfig(decorrelate=False),
-    optimizer_config=OptimizerConfig(
-        groupby_reorder=False, local_aggregates=False, segment_apply=False,
-        semijoin_rewrites=False, join_reorder=False))
-
-NAIVE = ExecutionMode("naive", use_naive_interpreter=True)
-
-MODES = {mode.name: mode for mode in (FULL, DECORRELATE_ONLY, CORRELATED,
-                                      NAIVE)}
-
-#: Execution engines: how a chosen physical plan is evaluated.  The
-#: optimizer pipeline is identical for both — only the runtime differs.
-#: ``"tuple"`` is the iterator (tuple-at-a-time) executor, ``"vectorized"``
-#: the batch-at-a-time columnar executor.  (``mode="naive"`` bypasses
-#: physical planning entirely and ignores the engine.)
-ENGINES = ("tuple", "vectorized")
-
-#: Output formats accepted by the unified explain API.
-EXPLAIN_FORMATS = ("text", "dict")
-
-
-@dataclass(frozen=True)
-class ExplainOptions:
-    """Options shared by every explain entry point.
-
-    :meth:`Database.explain`, :meth:`PreparedStatement.explain`, the
-    SQL-level ``EXPLAIN [ANALYZE]`` statement and the analysis CLI all
-    funnel into this one shape:
-
-    * ``analyze`` — actually execute the query once, with per-operator
-      row counting, and annotate each plan node with its actual
-      cardinality and Q-error next to the optimizer's estimate;
-    * ``costs`` — include the optimizer's total cost estimate;
-    * ``format`` — ``"text"`` (indented tree, the default) or ``"dict"``
-      (JSON-safe nested dicts, the wire representation).
-    """
-
-    analyze: bool = False
-    costs: bool = False
-    format: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.format not in EXPLAIN_FORMATS:
-            raise ValueError(
-                f"unknown explain format {self.format!r}; expected one "
-                f"of: {', '.join(EXPLAIN_FORMATS)}")
-
-
-def _explain_options(options: ExplainOptions | None, analyze: bool,
-                     costs: bool, format: str) -> ExplainOptions:
-    """Resolve an explain call's arguments to one ``ExplainOptions``: an
-    explicit ``options`` object wins over the individual keywords."""
-    if options is not None:
-        return options
-    return ExplainOptions(analyze=analyze, costs=costs, format=format)
-
-
-class QueryResult:
-    """Rows plus the output schema (column names and types).
-
-    ``degraded`` is True when the answer came from a fallback plan after
-    a cost-based-optimizer failure (the rows are still correct — only
-    the plan quality degraded); ``stats`` carries per-query execution
-    statistics (:class:`~repro.governor.QueryStats`), including the
-    fallback reason and any governor budget consumption.
-    """
-
-    def __init__(self, names: list[str], rows: list[tuple],
-                 types: Sequence[DataType] | None = None,
-                 degraded: bool = False,
-                 stats: QueryStats | None = None) -> None:
-        if types is not None and len(types) != len(names):
-            raise ValueError(
-                f"QueryResult schema mismatch: {len(names)} column "
-                f"name(s) but {len(types)} type(s)")
-        self.names = names
-        self.rows = rows
-        self.types = (list(types) if types is not None
-                      else [DataType.UNKNOWN] * len(names))
-        self.degraded = degraded
-        self.stats = stats if stats is not None else QueryStats(
-            degraded=degraded)
-
-    @property
-    def columns(self) -> list[tuple[str, DataType]]:
-        """Output schema as ``(name, DataType)`` pairs."""
-        return list(zip(self.names, self.types))
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Rows as dicts keyed by output column name."""
-        return [dict(zip(self.names, row)) for row in self.rows]
-
-    def scalar(self) -> Any:
-        """The single value of a one-row, one-column result.
-
-        Raises ``ValueError`` when the result is any other shape, so a
-        miswritten aggregate query fails loudly instead of silently
-        returning the first of many values.
-        """
-        if len(self.rows) != 1 or len(self.names) != 1:
-            raise ValueError(
-                f"scalar() requires a 1x1 result, got {len(self.rows)} "
-                f"row(s) x {len(self.names)} column(s)")
-        return self.rows[0][0]
-
-    def first(self) -> tuple | None:
-        """The first row, or ``None`` for an empty result."""
-        return self.rows[0] if self.rows else None
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QueryResult):
-            return self.rows == other.rows
-        return self.rows == other
-
-    def __repr__(self) -> str:
-        return f"QueryResult({self.names}, {len(self.rows)} rows)"
-
-
-def bind_parameters(parameters: Sequence, params: Params) -> tuple:
-    """Match user-supplied bindings against a statement's parameter list.
-
-    Returns the values in slot order.  Positional statements take a
-    sequence; named statements take a mapping (or a sequence in slot
-    order).  ``None`` is a legal value for any parameter (SQL NULL);
-    missing, extra or mis-shaped bindings raise :class:`ParameterError`.
-    """
-    if isinstance(params, str):
-        raise ParameterError(
-            "parameters must be a sequence or mapping, not a bare string")
-    if not parameters:
-        if params:
-            raise ParameterError("statement takes no parameters")
-        return ()
-    named = parameters[0].name is not None
-    if isinstance(params, Mapping):
-        if not named:
-            raise ParameterError(
-                "statement uses positional (?) parameters; "
-                "pass a sequence, not a mapping")
-        names = [p.name for p in parameters]
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise ParameterError(
-                f"missing parameter(s): {', '.join(missing)}")
-        unknown = sorted(set(params) - set(names))
-        if unknown:
-            raise ParameterError(
-                f"unknown parameter(s): {', '.join(unknown)}")
-        return tuple(params[n] for n in names)
-    if params is None:
-        raise ParameterError(
-            f"statement expects {len(parameters)} parameter(s), got 0")
-    values = tuple(params)
-    if len(values) != len(parameters):
-        raise ParameterError(
-            f"statement expects {len(parameters)} parameter(s), "
-            f"got {len(values)}")
-    return values
 
 
 class PreparedStatement:
@@ -306,7 +118,7 @@ class PreparedStatement:
         """
         return self._database._explain(
             self._statement, self.mode,
-            _explain_options(options, analyze, costs, format),
+            explain_options(options, analyze, costs, format),
             self.engine, params)
 
     def __repr__(self) -> str:
@@ -387,8 +199,7 @@ class Database:
             manager = DurabilityManager(path, fsync=fsync,
                                         checkpoint_bytes=checkpoint_bytes)
             try:
-                state = manager.recover()
-                self._apply_recovery(manager, state)
+                recover(self, manager)
             except BaseException:
                 manager.close()
                 raise
@@ -397,6 +208,20 @@ class Database:
             self.storage.wal = manager
 
     # -- DDL / DML ---------------------------------------------------------------
+
+    def _apply_ddl(self, record: dict, contents: Sequence[tuple] = ()):
+        """Log → apply, the second half of every catalog change.  The
+        caller holds :attr:`_ddl_lock` and has validated ``record``: a
+        doomed change logs nothing, and because the lock spans log and
+        apply, no commit can reference an object whose creation record
+        trails it in the WAL."""
+        if self._durability is not None:
+            self._durability.log_ddl(record)
+        return apply_record(self.catalog, self.storage, record, contents)
+
+    def _ddl_applied(self) -> None:
+        self.plan_cache.invalidate()
+        self._maybe_checkpoint()
 
     def create_table(self, name: str,
                      columns: Sequence[tuple],
@@ -415,22 +240,14 @@ class Database:
                 defs.append(ColumnDef(spec[0], spec[1], spec[2]))
         table = TableDef(name, defs, primary_key, unique_keys)
         with self._ddl_lock:
-            if self._durability is not None:
-                # Validate → log → apply: a doomed create logs nothing,
-                # and because the lock spans log and apply, no commit
-                # can reference a table whose creation record trails it
-                # in the WAL.
-                if self.catalog.has_table(name):
-                    raise CatalogError(f"table {name!r} already exists")
-                if self.catalog.has_view(name):
-                    raise CatalogError(f"{name!r} already names a view")
-                self._durability.log_ddl({"kind": "create_table",
-                                          "table": table.to_dict()})
-            self.catalog.create_table(table)
-            self.storage.create(table)
-        self.plan_cache.invalidate()
+            if self.catalog.has_table(name):
+                raise CatalogError(f"table {name!r} already exists")
+            if self.catalog.has_view(name):
+                raise CatalogError(f"{name!r} already names a view")
+            table = self._apply_ddl({"kind": "create_table",
+                                     "table": table.to_dict()})
         self.corrections.invalidate(name)
-        self._maybe_checkpoint()
+        self._ddl_applied()
         return table
 
     def create_index(self, index_name: str, table_name: str,
@@ -438,27 +255,16 @@ class Database:
                      kind: str = "hash") -> IndexDef:
         index = IndexDef(index_name, table_name, tuple(column_names), kind)
         with self._ddl_lock:
-            if self._durability is not None:
-                if self.catalog.has_index(index_name):
+            if self.catalog.has_index(index_name):
+                raise CatalogError(f"index {index_name!r} already exists")
+            table = self.catalog.get_table(table_name)
+            for col in index.column_names:
+                if not table.has_column(col):
                     raise CatalogError(
-                        f"index {index_name!r} already exists")
-                table = self.catalog.get_table(table_name)
-                for col in index.column_names:
-                    if not table.has_column(col):
-                        raise CatalogError(
-                            f"index column {col!r} not in table "
-                            f"{table.name!r}")
-                self._durability.log_ddl({"kind": "create_index",
-                                          "index": index_def_to_dict(
-                                              index)})
-            self.catalog.create_index(index)
-            # Copy-on-write: the indexed version is installed atomically,
-            # so concurrent readers see either the old version (no index)
-            # or the new one (index fully built), never a half-built
-            # index.
-            self.storage.apply_add_index(table_name, index)
-        self.plan_cache.invalidate()
-        self._maybe_checkpoint()
+                        f"index column {col!r} not in table {table.name!r}")
+            index = self._apply_ddl({"kind": "create_index",
+                                     "index": index_def_to_dict(index)})
+        self._ddl_applied()
         return index
 
     def create_view(self, name: str, sql: str) -> None:
@@ -470,27 +276,20 @@ class Database:
             raise BindError(
                 "view definitions cannot contain parameters")
         with self._ddl_lock:
-            if self._durability is not None:
-                if self.catalog.has_view(name):
-                    raise CatalogError(f"view {name!r} already exists")
-                if self.catalog.has_table(name):
-                    raise CatalogError(f"{name!r} already names a table")
-                self._durability.log_ddl({"kind": "create_view",
-                                          "name": name, "sql": sql})
-            self.catalog.create_view(name, sql)
-        self.plan_cache.invalidate()
-        self._maybe_checkpoint()
+            if self.catalog.has_view(name):
+                raise CatalogError(f"view {name!r} already exists")
+            if self.catalog.has_table(name):
+                raise CatalogError(f"{name!r} already names a table")
+            self._apply_ddl({"kind": "create_view", "name": name,
+                             "sql": sql})
+        self._ddl_applied()
 
     def drop_view(self, name: str) -> None:
         with self._ddl_lock:
-            if self._durability is not None:
-                if not self.catalog.has_view(name):
-                    raise CatalogError(f"unknown view {name!r}")
-                self._durability.log_ddl({"kind": "drop_view",
-                                          "name": name})
-            self.catalog.drop_view(name)
-        self.plan_cache.invalidate()
-        self._maybe_checkpoint()
+            if not self.catalog.has_view(name):
+                raise CatalogError(f"unknown view {name!r}")
+            self._apply_ddl({"kind": "drop_view", "name": name})
+        self._ddl_applied()
 
     def drop_table(self, name: str) -> None:
         """Drop a table, its storage, its indexes — and cascade-drop any
@@ -501,18 +300,13 @@ class Database:
                 raise CatalogError(
                     f"{name!r} is a materialized view; use DROP "
                     "MATERIALIZED VIEW")
+            if not self.catalog.has_table(name):
+                raise CatalogError(f"unknown table {name!r}")
             for viewdef in self.catalog.matviews_on(name):
                 self.matviews.drop(getattr(viewdef, "name"))
-            if self._durability is not None:
-                if not self.catalog.has_table(name):
-                    raise CatalogError(f"unknown table {name!r}")
-                self._durability.log_ddl({"kind": "drop_table",
-                                          "name": name})
-            self.catalog.drop_table(name)
-            self.storage.drop(name)
-        self.plan_cache.invalidate()
+            self._apply_ddl({"kind": "drop_table", "name": name})
         self.corrections.invalidate(name)
-        self._maybe_checkpoint()
+        self._ddl_applied()
 
     def table_names(self) -> list[str]:
         return [t.name for t in self.catalog.tables()]
@@ -527,13 +321,16 @@ class Database:
         concurrent snapshot readers never see a partial batch).  On a
         durable database the batch is logged and fsynced before it is
         installed."""
+        self._reject_matview_insert(table_name)
+        count = self.storage.apply_insert(table_name, rows)
+        self._maybe_checkpoint()
+        return count
+
+    def _reject_matview_insert(self, table_name: str) -> None:
         if self.catalog.has_matview(table_name):
             raise CatalogError(
                 f"cannot insert into materialized view {table_name!r}; "
                 "its contents are maintained automatically")
-        count = self.storage.apply_insert(table_name, rows)
-        self._maybe_checkpoint()
-        return count
 
     # -- durability ----------------------------------------------------------------
 
@@ -587,100 +384,6 @@ class Database:
             self._durability.checkpoint(self)
         except InjectedFault:
             pass
-
-    def _apply_recovery(self, manager: DurabilityManager,
-                        state: RecoveryState) -> None:
-        """Rebuild the committed state: checkpoint image first, then the
-        WAL records newer than it, oldest first.  Runs before
-        ``self._durability`` is set, so nothing here re-logs."""
-        if state.checkpoint is not None:
-            self._load_checkpoint_image(state.checkpoint)
-        for record in manager.replay(state):
-            try:
-                self._apply_wal_record(record)
-            except RecoveryError:
-                raise
-            except ReproError as exc:
-                raise RecoveryError(
-                    f"replaying WAL record lsn={record.get('lsn')} "
-                    f"failed: {exc}") from exc
-        # View contents are derived state: the WAL carries only base
-        # rows, so after the bases are restored every materialized view
-        # is rebuilt from scratch — a crash can never surface a view
-        # inconsistent with its base.
-        try:
-            self.matviews.rebuild_all()
-        except ReproError as exc:
-            raise RecoveryError(
-                f"rebuilding materialized views failed: {exc}") from exc
-        self.plan_cache.invalidate()
-
-    def _load_checkpoint_image(self, checkpoint: dict) -> None:
-        image = checkpoint["catalog"]
-        try:
-            for payload in image["tables"]:
-                table = table_def_from_dict(payload)
-                self.catalog.create_table(table)
-                self.storage.create(table)
-            for name, rows in checkpoint["rows"].items():
-                stored = self.storage.get(name)
-                for row in rows:
-                    stored.insert(decode_row(row))
-            for payload in image["indexes"]:
-                index = index_def_from_dict(payload)
-                self.catalog.create_index(index)
-                self.storage.apply_add_index(index.table_name, index)
-            for view in image["views"]:
-                self.catalog.create_view(view["name"], view["sql"])
-            for matview in image.get("matviews", []):
-                # The backing table (schema and rows) already arrived
-                # via the table image above; only the definition needs
-                # re-registering.
-                self.catalog.create_matview(
-                    MatViewDef.from_sql(matview["name"], matview["sql"]))
-            self.corrections.load_state(checkpoint.get("corrections", []))
-        except ReproError as exc:
-            raise RecoveryError(
-                f"applying checkpoint lsn={checkpoint.get('lsn')} "
-                f"failed: {exc}") from exc
-
-    def _apply_wal_record(self, record: dict) -> None:
-        """Re-apply one replayed record through direct catalog/storage
-        calls (never the logging DDL/commit paths above)."""
-        kind = record.get("kind")
-        if kind == "commit":
-            for name, rows in record.get("writes", {}).items():
-                stored = self.storage.get(name)
-                for row in rows:
-                    stored.insert(decode_row(row))
-        elif kind == "create_table":
-            table = table_def_from_dict(record["table"])
-            self.catalog.create_table(table)
-            self.storage.create(table)
-        elif kind == "create_index":
-            index = index_def_from_dict(record["index"])
-            self.catalog.create_index(index)
-            self.storage.apply_add_index(index.table_name, index)
-        elif kind == "create_view":
-            self.catalog.create_view(record["name"], record["sql"])
-        elif kind == "create_matview":
-            viewdef = MatViewDef.from_sql(record["name"], record["sql"])
-            base = self.catalog.get_table(viewdef.table)
-            backing = viewdef.backing_def(base)
-            self.catalog.create_matview(viewdef, backing)
-            # Contents are rebuilt wholesale at the end of recovery.
-            self.storage.create(backing)
-        elif kind == "drop_matview":
-            self.catalog.drop_matview(record["name"])
-            self.storage.drop(record["name"])
-        elif kind == "drop_view":
-            self.catalog.drop_view(record["name"])
-        elif kind == "drop_table":
-            self.catalog.drop_table(record["name"])
-            self.storage.drop(record["name"])
-        else:
-            raise RecoveryError(f"unknown WAL record kind {kind!r} "
-                                f"(lsn={record.get('lsn')})")
 
     # -- queries -------------------------------------------------------------------
 
@@ -745,16 +448,6 @@ class Database:
                      else classify_statement(sql))
         if statement.matview is not None:
             return self._execute_matview_ddl(statement.matview)
-        if statement.explain:
-            # SQL-level EXPLAIN [ANALYZE]: route through the unified
-            # explain API and return the rendering as a one-column result.
-            rendered = self._explain(
-                statement, resolved,
-                ExplainOptions(analyze=statement.analyze),
-                resolved_engine, params)
-            return QueryResult(["plan"],
-                               [(line,) for line in rendered.split("\n")],
-                               [DataType.VARCHAR])
         gov = governor
         if gov is None and (timeout is not None or row_budget is not None
                             or memory_budget is not None
@@ -765,22 +458,23 @@ class Database:
         started = time.monotonic()
         if gov is not None:
             gov.start()
+        if statement.explain:
+            # SQL-level EXPLAIN [ANALYZE]: the unified explain path, its
+            # rendering returned as a one-column result.
+            rendered = self._explain(
+                statement, resolved,
+                ExplainOptions(analyze=statement.analyze),
+                resolved_engine, params, gov, snapshot, use_matviews)
+            return QueryResult(["plan"],
+                               [(line,) for line in rendered.split("\n")],
+                               [DataType.VARCHAR])
+        # ``analyze`` without ``explain`` is :meth:`_explain` calling
+        # back: run profiled and hand the profile to the renderer.
+        analyze = statement.analyze
         allow_rewrite = (self.matview_rewrite if use_matviews is None
                          else use_matviews)
         entry = self._cached_plan(statement, resolved, gov,
-                                  engine=resolved_engine,
-                                  allow_rewrite=allow_rewrite)
-        if entry.matview_name is not None and snapshot is not None:
-            # A pinned snapshot may predate the view (or a transaction
-            # may hold staged-but-unmaintained writes): when the backing
-            # table is not resolvable from the snapshot, recompile
-            # against base tables instead of failing mid-execution.
-            try:
-                snapshot.get(entry.matview_name)
-            except ReproError:
-                entry = self._cached_plan(statement, resolved, gov,
-                                          engine=resolved_engine,
-                                          allow_rewrite=False)
+                                  resolved_engine, allow_rewrite, snapshot)
         # The token stream and key are garbage once the plan is in hand:
         # dropped before execution, so a long query does not carry a
         # statement's worth of young objects through every collection.
@@ -791,7 +485,8 @@ class Database:
         degraded = entry.degraded
         reason = entry.fallback_reason
         profile: dict[Any, int] | None = (
-            {} if self.feedback_enabled and entry.plan is not None
+            {} if analyze or (self.feedback_enabled
+                              and entry.plan is not None)
             else None)
         try:
             rows = self._run_entry(entry, values, gov, snapshot, profile)
@@ -811,8 +506,11 @@ class Database:
             observed = self.feedback.record(entry, profile)
             if observed is not None:
                 stats.max_q_error = observed.max_q_error
-        return QueryResult(list(entry.names), rows, entry.types,
-                           degraded=degraded, stats=stats)
+        result = QueryResult(list(entry.names), rows, entry.types,
+                             degraded=degraded, stats=stats)
+        if analyze:
+            result.profiled = (entry, profile or {})
+        return result
 
     def _execute_matview_ddl(self,
                              statement: MatViewStatement) -> QueryResult:
@@ -912,14 +610,15 @@ class Database:
     def _cached_plan(self, statement: Statement, mode: ExecutionMode,
                      gov: ResourceGovernor | None = None,
                      engine: str = "tuple",
-                     allow_rewrite: bool = True) -> CachedPlan:
-        """The compiled form of ``statement``, from cache or built fresh.
+                     allow_rewrite: bool = True,
+                     snapshot=None) -> CachedPlan:
+        """The compiled form of ``statement``, from cache or built fresh
+        by :meth:`_compile`.
 
-        Fault-tolerant: a failing plan-cache lookup is a cache miss, a
-        failing insertion is skipped, and a cost-based-optimizer failure
-        degrades to a fallback plan (see :meth:`_degraded_plan`).
-        Degraded entries are returned but never admitted to the cache, so
-        one optimizer hiccup cannot pin a bad plan for future queries.
+        Fault-tolerant: a failing plan-cache lookup is a cache miss and a
+        failing insertion is skipped.  Degraded entries are returned but
+        never admitted to the cache, so one optimizer hiccup cannot pin a
+        bad plan for future queries.
 
         Rewrite-enabled and rewrite-disabled compilations of the same
         text cache under distinct mode keys (``"<mode>"`` vs
@@ -929,22 +628,44 @@ class Database:
         which a concurrent DROP/CREATE cycle can flip between sampling
         it and consulting the cache; keying on that racy state once let
         a raw lookup land on a rewritten entry.  Only ``#raw`` entries
-        are guaranteed view-free, so the snapshot-guard recompile in
-        :meth:`execute` relies on exactly that invariant.
+        are guaranteed view-free, which the ``snapshot`` guard below
+        relies on: a pinned snapshot may predate the view, so when the
+        backing table is not resolvable from it the statement is
+        recompiled against base tables instead of failing mid-execution.
         """
-        sql_key = statement.key
         requested = allow_rewrite and self.matview_rewrite
-        rewriting = requested and self.catalog.has_matviews()
-        mode_key = mode.name
-        if not requested:
-            mode_key += "#raw"
+        mode_key = mode.name if requested else mode.name + "#raw"
         try:
-            entry = self.plan_cache.get(sql_key, mode_key,
+            entry = self.plan_cache.get(statement.key, mode_key,
                                         self.catalog.version, engine)
         except InjectedFault:
             entry = None
-        if entry is not None:
-            return entry
+        if entry is None:
+            entry = self._compile(statement, mode, gov, engine, mode_key,
+                                  requested and self.catalog.has_matviews())
+            if not entry.degraded:
+                try:
+                    self.plan_cache.put(entry)
+                except InjectedFault:
+                    pass  # uncached, but the compiled entry is still good
+        if entry.matview_name is not None and snapshot is not None:
+            try:
+                snapshot.get(entry.matview_name)
+            except ReproError:
+                return self._cached_plan(statement, mode, gov, engine,
+                                         allow_rewrite=False)
+        return entry
+
+    def _compile(self, statement: Statement, mode: ExecutionMode,
+                 gov: ResourceGovernor | None, engine: str,
+                 mode_key: str, rewriting: bool) -> CachedPlan:
+        """The one compile pipeline: parse → bind (→ materialized-view
+        substitution when ``rewriting``) → normalize → verify → optimize
+        → prepare for ``engine``.  A cost-based-optimizer failure
+        degrades to a fallback plan (:meth:`_degraded_plan`) instead of
+        failing the statement.  What EXPLAIN shows beside the plan (the
+        normalized tree, the cost) stays on the entry, so it draws
+        exactly what ``execute`` runs."""
         bound, fingerprint, matview_name, rewritten_sql = \
             self._bind_with_rewrite(statement, rewriting)
         table_names = frozenset(
@@ -953,12 +674,8 @@ class Database:
                                      lambda n: isinstance(n, Get)))
         if fingerprint is not None:
             table_names |= {fingerprint.table}
-        degraded = False
-        reason: str | None = None
-        if mode.use_naive_interpreter:
-            plan = None
-            executable = None
-        else:
+        normalized = plan = executable = cost = reason = None
+        if not mode.use_naive_interpreter:
             # Normalization runs outside the fallback ladder: its errors
             # (e.g. the plan-depth cap) also doom the fallback tiers.
             normalized = normalize(bound.rel, mode.normalize_config)
@@ -967,19 +684,21 @@ class Database:
                 if analyzer is not None:
                     analyzer.check_logical(normalized,
                                            stage="admission:logical")
-                plan = self._optimizer(mode, gov).optimize(normalized)
+                costed = self._optimizer(mode, gov).optimize_with_cost(
+                    normalized)
+                plan, cost = costed.plan, costed.cost
                 executable = self._executor_for(engine).prepare(plan)
                 if analyzer is not None:
                     analyzer.check_physical(plan,
                                             stage="admission:physical")
             except (PlanError, OptimizerBudgetExceeded, InjectedFault,
                     ExecutionError) as exc:
-                degraded = True
                 reason = f"{type(exc).__name__}: {exc}"
+                cost = None
                 plan, executable = self._degraded_plan(mode, normalized,
                                                        engine)
-        entry = CachedPlan(
-            sql_key=sql_key,
+        return CachedPlan(
+            sql_key=statement.key,
             mode_name=mode_key,
             catalog_version=self.catalog.version,
             engine=engine,
@@ -991,17 +710,13 @@ class Database:
             executable=executable,
             snapshot=self.plan_cache.capture_snapshot(table_names),
             table_names=table_names,
-            degraded=degraded,
+            degraded=reason is not None,
             fallback_reason=reason,
             matview_name=matview_name,
             rewritten_sql=rewritten_sql,
-            fingerprint=fingerprint)
-        if not degraded:
-            try:
-                self.plan_cache.put(entry)
-            except InjectedFault:
-                pass  # uncached, but the compiled entry is still good
-        return entry
+            fingerprint=fingerprint,
+            normalized=normalized,
+            cost=cost)
 
     def _bind_with_rewrite(self, statement: Statement, rewriting: bool):
         """Bind ``statement``; when rewriting, try to substitute a
@@ -1019,7 +734,7 @@ class Database:
         if (not rewriting or fingerprint is None
                 or not fingerprint.aggregates):
             return bound, fingerprint, None, None
-        candidate = self._rewrite_candidate(fingerprint)
+        candidate = self.matviews.rewrite_candidate(fingerprint)
         if candidate is None:
             return bound, fingerprint, None, None
         view_name, rewritten = candidate
@@ -1032,23 +747,6 @@ class Database:
                 or rebound.parameters != bound.parameters):
             return bound, fingerprint, None, None
         return rebound, fingerprint, view_name, rewritten
-
-    def _rewrite_candidate(self, fingerprint):
-        """The smallest registered view answering ``fingerprint``, as
-        ``(view name, rewritten SQL)``; ``None`` when nothing matches."""
-        best = None
-        for viewdef in self.catalog.matviews():
-            if not isinstance(viewdef, MatViewDef):
-                continue
-            rewritten = match_rewrite(fingerprint, viewdef)
-            if rewritten is None:
-                continue
-            size = self._row_count(viewdef.name)
-            if best is None or size < best[2]:
-                best = (viewdef.name, rewritten, size)
-        if best is None:
-            return None
-        return best[0], best[1]
 
     def _degraded_plan(self, mode: ExecutionMode, normalized: RelationalOp,
                        engine: str = "tuple"
@@ -1096,8 +794,10 @@ class Database:
         """The query's plan — estimated, and with ``analyze`` also actual.
 
         The default renders the normalized logical tree and the chosen
-        physical plan as text.  ``costs=True`` appends the optimizer's
-        estimated cost (arbitrary work units) and estimated output rows.
+        physical plan as text — the plan ``execute`` would run, so a
+        materialized-view substitution or a degradation rung shows up
+        here too.  ``costs=True`` appends the optimizer's estimated cost
+        (arbitrary work units) and estimated output rows.
         ``analyze=True`` *executes the query once*, counting actual rows
         per operator, and annotates every plan node with estimated rows,
         actual rows and their Q-error; the observation is also fed into
@@ -1107,142 +807,45 @@ class Database:
         All settings can be bundled in an :class:`ExplainOptions` via
         ``options=``, which the other explain entry points share.
         """
-        resolved = _explain_options(options, analyze, costs, format)
         return self._explain(lex_query(sql), self._resolve_mode(mode),
-                             resolved, engine, params)
+                             explain_options(options, analyze, costs,
+                                             format),
+                             engine, params)
 
     def _explain(self, statement: Statement, mode: ExecutionMode,
-                 resolved: ExplainOptions, engine: str | None,
-                 params: Params) -> "str | dict":
-        if resolved.analyze:
-            return self._explain_analyze(statement, mode, resolved,
-                                         self._resolve_engine(engine),
-                                         params)
-        bound, _, matview_name, rewritten_sql = self._bind_with_rewrite(
-            statement,
-            self.matview_rewrite and self.catalog.has_matviews())
-        normalized = normalize(bound.rel, mode.normalize_config)
-        costed = None
-        plan = None
-        if not mode.use_naive_interpreter:
-            optimizer = self._optimizer(mode)
-            if resolved.costs:
-                costed = optimizer.optimize_with_cost(normalized)
-                plan = costed.plan
-            else:
-                plan = optimizer.optimize(normalized)
-        if resolved.format == "dict":
-            payload: dict[str, Any] = {
-                "sql": statement.sql, "mode": mode.name, "analyze": False,
-                "logical": explain(normalized),
-                "plan": tree_dict(plan if plan is not None
-                                  else normalized)}
-            if costed is not None:
-                payload["cost"] = costed.cost
-            if matview_name is not None:
-                payload["matview"] = {"view": matview_name,
-                                      "sql": rewritten_sql}
-            return payload
-        sections = []
-        if matview_name is not None:
-            sections += ["-- materialized view --",
-                         f"rewritten to scan {matview_name}:",
-                         str(rewritten_sql)]
-        sections += ["-- logical (normalized) --", explain(normalized)]
-        if plan is not None:
-            sections += ["-- physical --", explain_physical(plan)]
-        if costed is not None:
-            from .core.optimizer import Estimator
-
-            estimate = Estimator(
-                self._stats_provider,
-                corrections=self.corrections).estimate(normalized)
-            sections += [
-                "-- estimates --",
-                f"cost: {costed.cost:.1f}",
-                f"rows: {estimate.rows:.1f}",
-            ]
-        return "\n".join(sections)
-
-    def _explain_analyze(self, statement: Statement, mode: ExecutionMode,
-                         options: ExplainOptions, engine: str,
-                         params: Params) -> "str | dict":
-        """One profiled execution, rendered as an annotated plan tree.
-
-        Physical plans (tuple/vectorized engines) are annotated from the
-        estimates the optimizer stamped at costing time; naive mode
-        interprets the bound logical tree, so its estimates are computed
-        at explain time by walking the tree with the estimator.  The
-        observation is recorded into the feedback loop exactly as an
-        ordinary feedback-enabled execution would.
-        """
-        entry = self._cached_plan(statement, mode, engine=engine)
-        values = bind_parameters(entry.parameters, params)
-        profile: dict[Any, int] = {}
-        started = time.monotonic()
-        rows = self._run_entry(entry, values, None, None, profile)
-        elapsed = time.monotonic() - started
-        stats = QueryStats(elapsed_seconds=elapsed,
-                           degraded=entry.degraded,
-                           fallback_reason=entry.fallback_reason)
-        if entry.plan is not None:
-            self.feedback.record(entry, profile)
-            tree = tree_dict(entry.plan, profile)
+                 options: ExplainOptions, engine: str | None,
+                 params: Params, gov: ResourceGovernor | None = None,
+                 snapshot=None,
+                 use_matviews: bool | None = None) -> "str | dict":
+        """Render the entry ``execute`` would run under the same
+        governor, read view and rewrite policy; with ``options.analyze``
+        run it, through :meth:`execute` itself, and annotate the run."""
+        engine = self._resolve_engine(engine)
+        result = None
+        if options.analyze:
+            result = self.execute(
+                replace(statement, explain=False, analyze=True), mode,
+                params, governor=gov, engine=engine, snapshot=snapshot,
+                use_matviews=use_matviews)
+            entry = result.profiled[0]
         else:
-            tree = tree_dict(entry.rel, profile,
-                             self._logical_estimates(entry.rel))
-        stats.max_q_error = tree_max_q_error(tree)
-        if options.format == "dict":
-            payload = {"sql": statement.sql, "mode": mode.name,
-                       "engine": entry.engine, "analyze": True,
-                       "plan": tree, "row_count": len(rows),
-                       "stats": stats.as_dict()}
-            if entry.matview_name is not None:
-                payload["matview"] = {"view": entry.matview_name,
-                                      "sql": entry.rewritten_sql}
-            return payload
-        header = ("-- physical (analyze) --" if entry.plan is not None
-                  else "-- logical (analyze) --")
-        sections = [header, render_tree(tree), "-- execution --",
-                    f"rows: {len(rows)}",
-                    f"elapsed: {elapsed:.6f}s"]
-        if entry.matview_name is not None:
-            sections = ["-- materialized view --",
-                        f"rewritten to scan {entry.matview_name}:",
-                        str(entry.rewritten_sql)] + sections
-        if stats.max_q_error is not None:
-            sections.append(f"max q-error: {stats.max_q_error:.2f}")
-        return "\n".join(sections)
+            entry = self._cached_plan(
+                statement, mode, gov, engine,
+                self.matview_rewrite if use_matviews is None
+                else use_matviews, snapshot)
+        return render(entry, statement.sql, mode.name, options,
+                      Estimator(self._stats_provider,
+                                corrections=self.corrections), result)
 
-    def _logical_estimates(self, rel: RelationalOp) -> dict[int, float]:
-        """Per-node cardinality estimates for a logical tree, keyed by
-        node identity — EXPLAIN ANALYZE's estimate source in naive mode,
-        where no physical plan carries stamped estimates."""
-        from .core.optimizer import Estimator
-
-        estimator = Estimator(self._stats_provider,
-                              corrections=self.corrections)
-        estimates: dict[int, float] = {}
-
-        def visit(node: RelationalOp) -> None:
-            try:
-                estimates[id(node)] = estimator.estimate(node).rows
-            except ReproError:
-                pass  # advisory only: an inestimable node shows no est=
-            for child in node.children:
-                visit(child)
-
-        visit(rel)
-        return estimates
-
-    def plan(self, sql: str, mode: ExecutionMode | str = FULL) -> PhysicalOp:
+    def plan(self, sql: str,
+             mode: ExecutionMode | str = FULL) -> PhysicalOp | None:
+        """The physical plan a fresh compilation of ``sql`` chooses
+        (``None`` when the mode or the degradation ladder ends in naive
+        interpretation)."""
         mode = self._resolve_mode(mode)
-        bound = self._binder.bind(parse(sql))
-        return self._plan(bound, mode)
-
-    def _plan(self, bound: BoundQuery, mode: ExecutionMode) -> PhysicalOp:
-        normalized = normalize(bound.rel, mode.normalize_config)
-        return self._optimizer(mode).optimize(normalized)
+        return self._compile(
+            lex_query(sql), mode, None, self.default_engine, mode.name,
+            self.matview_rewrite and self.catalog.has_matviews()).plan
 
     def _optimizer(self, mode: ExecutionMode,
                    gov: ResourceGovernor | None = None) -> Optimizer:

@@ -9,7 +9,7 @@ of ``PNLApply``, which re-opens per outer row).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .. import faultinject
 from ..algebra.aggregates import descriptor

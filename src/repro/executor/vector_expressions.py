@@ -29,8 +29,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Mapping
 
-from ..algebra.datatypes import (ARITHMETIC_FUNCTIONS, sql_and, sql_compare,
-                                 sql_not, sql_or)
+from ..algebra.datatypes import ARITHMETIC_FUNCTIONS, sql_and, sql_not, sql_or
 from ..algebra.scalar import (AggregateCall, And, Arithmetic, Case,
                               ColumnRef, Comparison, Extract, InList,
                               IsNull, Like, Literal, Negate, Not, Or,

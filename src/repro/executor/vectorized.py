@@ -46,7 +46,7 @@ from typing import (AbstractSet, Any, Callable, Iterable, Iterator, Optional,
                     Sequence)
 
 from .. import faultinject
-from ..algebra.aggregates import AggregateFunction, descriptor
+from ..algebra.aggregates import AggregateFunction
 from ..algebra.columns import Column
 from ..algebra.relational import JoinKind
 from ..algebra.scalar import AggregateCall, parameter_slot

@@ -19,7 +19,7 @@ plan instead of a failure (see DESIGN.md, "Resource governor").
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 

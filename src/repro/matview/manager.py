@@ -3,7 +3,8 @@
 Lock discipline (levels from :mod:`repro.concurrency`):
 
 * **create** — ``db.ddl`` (10) → the *base* table's ``storage.writer``
-  (20) held across [compute contents → WAL DDL record → register]:
+  (20) held across [compute contents → log → apply the DDL record
+  (``Database._apply_ddl``)]:
   holding the base writer lock closes the missed-delta window where a
   commit lands after the contents were computed but before the view
   starts receiving maintenance.
@@ -41,6 +42,7 @@ from ..errors import CatalogError, ReproError, TransactionConflict
 from ..storage import StoredTable
 from .definition import MatViewDef
 from .maintenance import local_aggregate, merge
+from .matcher import match_rewrite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..database import Database
@@ -102,8 +104,9 @@ class MatViewManager:
                 raise CatalogError(
                     f"{name!r} already names a table, view or "
                     "materialized view")
-            base = catalog.get_table(viewdef.table)
-            backing = viewdef.backing_def(base)
+            # Validated before the (expensive) build, so a doomed create
+            # computes and logs nothing.
+            viewdef.backing_def(catalog.get_table(viewdef.table))
             lock = database.storage.writer_lock(viewdef.table)
             if not lock.acquire(timeout=MATVIEW_LOCK_TIMEOUT):
                 raise TransactionConflict(
@@ -112,18 +115,12 @@ class MatViewManager:
                     f"{MATVIEW_LOCK_TIMEOUT:.0f}s (create materialized "
                     f"view)")
             try:
-                rows = self._compute_rows(viewdef)
-                if database._durability is not None:
-                    database._durability.log_ddl(
-                        {"kind": "create_matview", "name": viewdef.name,
-                         "sql": viewdef.sql})
-                stored = database.storage.create(backing)
-                stored.insert_rows(rows)
-                catalog.create_matview(viewdef, backing)
+                viewdef = database._apply_ddl(
+                    {"kind": "create_matview", "name": viewdef.name,
+                     "sql": viewdef.sql}, self._compute_rows(viewdef))
             finally:
                 lock.release()
-        database.plan_cache.invalidate()
-        database._maybe_checkpoint()
+        database._ddl_applied()
         return viewdef
 
     def drop(self, name: str) -> None:
@@ -143,15 +140,11 @@ class MatViewManager:
                     f"view {name!r} within {MATVIEW_LOCK_TIMEOUT:.0f}s "
                     f"(drop)")
             try:
-                if database._durability is not None:
-                    database._durability.log_ddl(
-                        {"kind": "drop_matview", "name": name.lower()})
-                database.catalog.drop_matview(name)
-                database.storage.drop(name)
+                database._apply_ddl({"kind": "drop_matview",
+                                     "name": name.lower()})
             finally:
                 lock.release()
-        database.plan_cache.invalidate()
-        database._maybe_checkpoint()
+        database._ddl_applied()
 
     def refresh(self, name: str) -> None:
         """Recompute a view's contents from its base table."""
@@ -236,6 +229,25 @@ class MatViewManager:
         with self._stats_lock:
             self.maintained_commits += 1
         return maintenance
+
+    # -- rewrite -----------------------------------------------------------------
+
+    def rewrite_candidate(self, fingerprint):
+        """The smallest registered view answering ``fingerprint``, as
+        ``(view name, rewritten SQL)``; ``None`` when nothing matches."""
+        best = None
+        for viewdef in self._db.catalog.matviews():
+            if not isinstance(viewdef, MatViewDef):
+                continue
+            rewritten = match_rewrite(fingerprint, viewdef)
+            if rewritten is None:
+                continue
+            size = self._db._row_count(viewdef.name)
+            if best is None or size < best[2]:
+                best = (viewdef.name, rewritten, size)
+        if best is None:
+            return None
+        return best[0], best[1]
 
     # -- observability ---------------------------------------------------------
 

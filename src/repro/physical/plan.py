@@ -13,9 +13,8 @@ difference, max1row, and segmented execution for ``SegmentApply``.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..algebra.aggregates import AggregateFunction
 from ..algebra.columns import Column
 from ..algebra.relational import JoinKind
 from ..algebra.scalar import AggregateCall, ScalarExpr

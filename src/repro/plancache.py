@@ -79,6 +79,12 @@ class CachedPlan:
     #: (:class:`repro.matview.canonical.CanonicalAggregate`) when it has
     #: one — the advisor's matching signal; ``None`` otherwise.
     fingerprint: Any = None
+    #: What EXPLAIN draws beside ``plan``: the normalized logical tree
+    #: the optimizer was given (``None`` in naive mode, which interprets
+    #: ``rel`` as bound) and the optimizer's cost for ``plan`` (``None``
+    #: for naive and degraded entries).
+    normalized: Any = None
+    cost: float | None = None
 
     @property
     def key(self) -> tuple:

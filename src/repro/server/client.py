@@ -35,6 +35,7 @@ from .. import errors as _errors
 from ..algebra.datatypes import DataType
 from ..errors import ProtocolError, ReproError, ServerOverloaded
 from ..governor import QueryStats
+from ..result import QueryResult
 from .wire import decode_row, encode_value
 
 _DTYPES = {d.value: d for d in DataType}
@@ -79,38 +80,19 @@ class RetryPolicy:
         return base
 
 
-class ClientResult:
+class ClientResult(QueryResult):
     """Rows plus schema as decoded from one query response."""
 
-    __slots__ = ("names", "types", "rows", "degraded", "elapsed_seconds",
-                 "stats")
-
     def __init__(self, payload: dict) -> None:
-        self.names = payload["columns"]
-        self.types = [_DTYPES.get(t, DataType.UNKNOWN)
-                      for t in payload["types"]]
-        self.rows = [decode_row(row) for row in payload["rows"]]
-        self.degraded = payload["degraded"]
+        # ``stats`` is rebuilt from the server's QueryStats.as_dict()
+        # (absent on pre-1.4 servers).
+        super().__init__(
+            payload["columns"],
+            [decode_row(row) for row in payload["rows"]],
+            [_DTYPES.get(t, DataType.UNKNOWN) for t in payload["types"]],
+            degraded=payload["degraded"],
+            stats=QueryStats.from_dict(payload.get("stats", {})))
         self.elapsed_seconds = payload["elapsed_seconds"]
-        #: Per-query execution statistics, rebuilt from the server's
-        #: QueryStats.as_dict() (absent on pre-1.4 servers).
-        self.stats = QueryStats.from_dict(payload.get("stats", {}))
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.names, row)) for row in self.rows]
-
-    def scalar(self) -> Any:
-        if len(self.rows) != 1 or len(self.names) != 1:
-            raise ValueError(
-                f"scalar() requires a 1x1 result, got {len(self.rows)} "
-                f"row(s) x {len(self.names)} column(s)")
-        return self.rows[0][0]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __repr__(self) -> str:
-        return f"ClientResult({len(self.rows)} rows x {self.names})"
 
 
 def _reconstruct_error(payload: dict) -> Exception:

@@ -36,13 +36,14 @@ and is rejected inside an explicit transaction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..concurrency import TrackedLock
 from ..errors import (SessionClosed, TransactionConflict, TransactionError)
+from ..explain import ExplainOptions, explain_options
 from ..governor import OptimizerBudget, ResourceGovernor
-from ..sql import classify_statement
+from ..sql import classify_statement, lex_query
 from ..storage.table import Storage, StorageSnapshot, StoredTable
 
 _session_ids = itertools.count(1)
@@ -251,26 +252,14 @@ class Session:
                 use_matviews: bool | None = None):
         """Execute ``sql`` against this session's current read view.
 
-        Inside a transaction the view is the pinned snapshot plus the
-        transaction's own staged writes; outside, a fresh snapshot is
-        pinned per statement (statement-level read consistency).
-
-        While a transaction holds staged writes, materialized-view
-        rewriting is disabled for its statements regardless of
-        ``use_matviews``: view backings are only maintained at commit,
-        so a rewritten plan could not see the transaction's own
-        uncommitted rows (read-your-own-writes).
+        ``EXPLAIN [ANALYZE]`` statements plan and run against the same
+        view (see :meth:`_read_view`) as the query they explain.
         """
         self._check_open()
         statement = classify_statement(sql)
         if statement.matview is not None:
             self._no_ddl_in_txn()
-        if self._txn is not None:
-            snapshot = self._txn.view()
-            if self._txn.pending:
-                use_matviews = False
-        else:
-            snapshot = self._db.storage.snapshot()
+        snapshot, use_matviews = self._read_view(use_matviews)
         result = self._db.execute(
             statement, mode if mode is not None else self.default_mode,
             params,
@@ -286,17 +275,31 @@ class Session:
             self.stats.degraded_queries += 1
         return result
 
+    def _read_view(self, use_matviews: bool | None):
+        """``(snapshot, use_matviews)`` for one statement.
+
+        Inside a transaction the view is the pinned snapshot plus the
+        transaction's own staged writes; outside, a fresh snapshot is
+        pinned per statement (statement-level read consistency).
+
+        While a transaction holds staged writes, materialized-view
+        rewriting is disabled for its statements regardless of
+        ``use_matviews``: view backings are only maintained at commit,
+        so a rewritten plan could not see the transaction's own
+        uncommitted rows (read-your-own-writes).
+        """
+        if self._txn is None:
+            return self._db.storage.snapshot(), use_matviews
+        return self._txn.view(), (False if self._txn.pending
+                                  else use_matviews)
+
     def insert(self, table_name: str,
                rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
         """Insert rows: staged when a transaction is open (visible only
         to this session until commit), an atomic autocommit otherwise."""
         self._check_open()
-        if self._db.catalog.has_matview(table_name):
-            from ..errors import CatalogError  # deferred: avoid cycle
-            raise CatalogError(
-                f"cannot insert into materialized view {table_name!r}; "
-                "its contents are maintained automatically")
         if self._txn is not None:
+            self._db._reject_matview_insert(table_name)
             try:
                 count = self._txn.stage_insert(table_name, rows)
             except TransactionConflict:
@@ -312,13 +315,26 @@ class Session:
                 format: str = "text", engine: str | None = None,
                 params=None) -> "str | dict":
         """Explain through the unified API (see :meth:`Database.explain`),
-        defaulting the mode and engine to the session's."""
+        defaulting the mode and engine to the session's — planned and,
+        with ``analyze``, run against this session's current read view."""
+        return self._explain(
+            sql, mode, explain_options(options, analyze, costs, format),
+            engine, params)
+
+    def _explain(self, sql: str, mode, options: ExplainOptions,
+                 engine: str | None, params,
+                 governor: ResourceGovernor | None = None) -> "str | dict":
+        """:meth:`explain` with the per-request governor the wire server
+        leases for an analyzed (executed) explain."""
         self._check_open()
-        return self._db.explain(
-            sql, mode if mode is not None else self.default_mode,
-            options=options, analyze=analyze, costs=costs, format=format,
-            engine=engine if engine is not None else self.default_engine,
-            params=params)
+        snapshot, use_matviews = self._read_view(None)
+        return self._db._explain(
+            lex_query(sql),
+            self._db._resolve_mode(mode if mode is not None
+                                   else self.default_mode),
+            options,
+            engine if engine is not None else self.default_engine,
+            params, governor, snapshot, use_matviews)
 
     # -- DDL (always autocommit) ---------------------------------------------------
 

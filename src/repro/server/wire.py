@@ -44,6 +44,8 @@ from ..concurrency import TrackedLock
 from ..durability.codec import (decode_row, decode_value,  # noqa: F401
                                 encode_row, encode_value)
 from ..errors import ProtocolError, ReproError, ServerError
+from ..explain import ExplainOptions
+from ..governor import ResourceGovernor
 from .admission import (AdmissionController, DEFAULT_MAX_QUEUE_DEPTH,
                         DEFAULT_MAX_WORKERS, ResourcePool)
 
@@ -100,6 +102,15 @@ def error_payload(exc: BaseException) -> dict:
         if hasattr(exc, attr):
             payload[attr] = getattr(exc, attr)
     return payload
+
+
+def _decode_params(request: dict):
+    params = request.get("params")
+    if isinstance(params, list):
+        return [decode_value(v) for v in params]
+    if isinstance(params, dict):
+        return {k: decode_value(v) for k, v in params.items()}
+    return params
 
 
 class QueryServer:
@@ -304,25 +315,12 @@ class QueryServer:
         sql = request.get("sql")
         if not isinstance(sql, str):
             raise ProtocolError("query requires a string 'sql' field")
-        params = request.get("params")
-        if params is not None and isinstance(params, list):
-            params = [decode_value(v) for v in params]
-        elif params is not None and isinstance(params, dict):
-            params = {k: decode_value(v) for k, v in params.items()}
+        params = _decode_params(request)
         engine = request.get("engine")
         mode = request.get("mode")
-
-        def run():
-            with self.pool.lease(self.query_memory_rows,
-                                 self.query_row_budget,
-                                 timeout=self.lease_timeout) as lease:
-                return session.execute(
-                    sql, params, mode=mode, engine=engine,
-                    row_budget=lease.row_budget,
-                    memory_budget=lease.memory_rows)
-
-        result = self.admission.run(session.session_id, run,
-                                    timeout=self.request_timeout)
+        result = self._admitted(session, lambda lease: session.execute(
+            sql, params, mode=mode, engine=engine,
+            row_budget=lease.row_budget, memory_budget=lease.memory_rows))
         return {
             "ok": True,
             "columns": result.names,
@@ -339,18 +337,35 @@ class QueryServer:
         sql = request.get("sql")
         if not isinstance(sql, str):
             raise ProtocolError("explain requires a string 'sql' field")
-        params = request.get("params")
-        if isinstance(params, list):
-            params = [decode_value(v) for v in params]
-        elif isinstance(params, dict):
-            params = {k: decode_value(v) for k, v in params.items()}
-        rendered = session.explain(
-            sql, mode=request.get("mode"),
+        params = _decode_params(request)
+        options = ExplainOptions(
             analyze=bool(request.get("analyze", False)),
             costs=bool(request.get("costs", False)),
-            format=request.get("format", "text"),
-            engine=request.get("engine"), params=params)
+            format=request.get("format", "text"))
+        mode, engine = request.get("mode"), request.get("engine")
+        if options.analyze:
+            # An analyzed explain executes the query: admitted and
+            # leased exactly like the ``query`` op.
+            rendered = self._admitted(
+                session, lambda lease: session._explain(
+                    sql, mode, options, engine, params,
+                    ResourceGovernor(row_budget=lease.row_budget,
+                                     memory_budget=lease.memory_rows)))
+        else:
+            rendered = session._explain(sql, mode, options, engine, params)
         return {"ok": True, "plan": rendered}
+
+    def _admitted(self, session, work):
+        """Run ``work(lease)`` on the admission pool under a governor
+        budget leased from the server's :class:`ResourcePool`."""
+        def run():
+            with self.pool.lease(self.query_memory_rows,
+                                 self.query_row_budget,
+                                 timeout=self.lease_timeout) as lease:
+                return work(lease)
+
+        return self.admission.run(session.session_id, run,
+                                  timeout=self.request_timeout)
 
     def _op_insert(self, session, request: dict) -> dict:
         table = request.get("table")

@@ -7,8 +7,8 @@ Pure syntax: no name resolution, no types.  The binder
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 
 # ---------------------------------------------------------------------------

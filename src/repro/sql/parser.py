@@ -84,6 +84,8 @@ class Statement:
     and executing it directly share one cache entry.  Its ``tokens`` are
     ``None``: the stream's positions count from the start of the prefix,
     and syntax errors are reported relative to the sliced text.
+    ``analyze`` without ``explain`` is the explain path handing the inner
+    query back to ``execute``: run it once, profiled.
     """
 
     sql: str

@@ -150,6 +150,23 @@ class TestCacheHygiene:
         assert not clean.degraded
         assert len(db.plan_cache) == 1
 
+    @pytest.mark.parametrize("site", ["optimizer.explore",
+                                      "optimizer.memo",
+                                      "optimizer.implement"])
+    def test_explain_renders_the_rung_execute_degrades_to(self, db, site):
+        # Same text => same plan, visibly: where execute() degrades,
+        # explain() draws the fallback rung instead of raising.
+        sql = QUERIES[3]
+        db.plan_cache.invalidate()
+        with fail_always(site):
+            reason = db.execute(sql, FULL).stats.fallback_reason
+            text = db.explain(sql, FULL)
+            payload = db.explain(sql, FULL, format="dict")
+        assert text.endswith("-- degraded --\n" + reason)
+        assert payload["degraded"] == reason
+        assert len(db.plan_cache) == 0
+        assert "degraded" not in db.explain(sql, FULL, format="dict")
+
     def test_execution_fault_keeps_the_healthy_plan_cached(self, db):
         # executor.open strikes after optimization succeeded: the result
         # degrades (naive rerun) but the cached plan is the good one.

@@ -93,6 +93,21 @@ class TestRowBudget:
         assert result.stats.governed
         assert 500 <= result.stats.rows_examined <= 10_000
 
+    def test_explain_analyze_is_governed_like_the_query(self, db):
+        # EXPLAIN ANALYZE executes the query: same budget, same verdict.
+        sql = "select count(*) from t t1, t t2 where t1.a < t2.a"
+        with pytest.raises(ResourceExhausted):
+            db.execute(sql, row_budget=10)
+        with pytest.raises(ResourceExhausted) as info:
+            db.execute("EXPLAIN ANALYZE " + sql, row_budget=10)
+        assert info.value.limit == 10
+        with pytest.raises(ResourceExhausted):
+            db.prepare(sql).execute(row_budget=10)
+        with pytest.raises(QueryTimeout):
+            db.execute("explain analyze " + sql, timeout=0.0)
+        # Plain EXPLAIN executes nothing, so a row budget cannot trip.
+        assert db.execute("EXPLAIN " + sql, row_budget=10).rows
+
 
 class TestMemoryBudget:
     def test_sort_buffer_exceeds_budget(self, db):
@@ -153,6 +168,17 @@ class TestOptimizerBudget:
             optimizer_budget=OptimizerBudget(max_memo_groups=1))
         assert result.degraded
         assert Counter(result.rows) == reference
+
+    def test_explain_shows_the_degraded_rung_execute_runs(self, db):
+        budget = OptimizerBudget(max_rule_applications=1)
+        rendered = "\n".join(row[0] for row in db.execute(
+            "EXPLAIN " + JOIN_AGG, optimizer_budget=budget))
+        assert "-- physical --" in rendered  # the heuristic rung
+        assert "-- degraded --" in rendered
+        assert "OptimizerBudgetExceeded" in rendered
+        # ... and an undegraded rendering has no such section.
+        assert "degraded" not in db.explain(JOIN_AGG)
+        assert "degraded" not in db.explain(JOIN_AGG, format="dict")
 
     def test_degraded_plan_never_enters_cache(self, db):
         db.plan_cache.invalidate()

@@ -123,6 +123,70 @@ def test_pinned_snapshot_survives_concurrent_ddl_and_inserts():
     txn.close()
 
 
+def _scan_actuals(analysis: dict) -> dict:
+    """``{leaf label: actual rows}`` of an EXPLAIN ANALYZE dict tree."""
+    found, stack = {}, [analysis["plan"]]
+    while stack:
+        node = stack.pop()
+        stack.extend(node["children"])
+        if not node["children"]:
+            found[node["op"]] = node["actual_rows"]
+    return found
+
+
+def test_explain_analyze_reads_the_transaction_view():
+    """EXPLAIN ANALYZE runs the query the session would run: over the
+    pinned snapshot plus the transaction's own staged rows."""
+    db = Database()
+    db.create_table("t", [("k", DataType.INTEGER, False)],
+                    primary_key=("k",))
+    db.insert("t", [(i,) for i in range(1000)])
+    with db.session() as s:
+        s.begin()
+        s.insert("t", [(5000,), (5001,)])
+        sql = "select count(*) from t"
+        assert s.execute(sql).scalar() == 1002
+        lines = [row[0] for row in s.execute("explain analyze " + sql)]
+        assert any("TableScan(t)" in line and "actual=1002" in line
+                   for line in lines), lines
+        via_api = s.explain(sql, analyze=True, format="dict")
+        assert _scan_actuals(via_api) == {"TableScan(t)": 1002}
+        # Another session still sees the committed 1000.
+        with db.session() as other:
+            assert _scan_actuals(other.explain(
+                sql, analyze=True, format="dict")) == {"TableScan(t)": 1000}
+        s.rollback()
+
+
+def test_explain_follows_the_sessions_rewrite_decision():
+    """While a transaction holds staged writes its statements are not
+    rewritten to a (commit-maintained) materialized view — and EXPLAIN,
+    plain or ANALYZE, shows that same base-table plan."""
+    db = Database()
+    db.create_table("t", [("g", DataType.INTEGER, False),
+                          ("v", DataType.INTEGER, False)])
+    db.insert("t", [(i % 4, i) for i in range(40)])
+    db.execute("CREATE MATERIALIZED VIEW mv AS "
+               "SELECT g, count(*) AS n FROM t GROUP BY g")
+    sql = "SELECT g, count(*) AS n FROM t GROUP BY g"
+    with db.session() as s:
+        assert "matview" in s.explain(sql, format="dict")
+        s.begin()
+        assert "matview" in s.explain(sql, format="dict")  # nothing staged
+        s.insert("t", [(0, 100), (0, 101)])
+        staged = dict(s.execute(sql).rows)
+        assert staged[0] == 12
+        assert "matview" not in s.explain(sql, format="dict")
+        analysis = s.explain(sql, analyze=True, format="dict")
+        assert "matview" not in analysis
+        assert _scan_actuals(analysis) == {"TableScan(t)": 42}
+        rendered = "\n".join(r[0] for r in s.execute("EXPLAIN " + sql))
+        assert "-- materialized view --" not in rendered
+        s.commit()
+        assert "matview" in s.explain(sql, analyze=True, format="dict")
+        assert dict(s.execute(sql).rows) == staged
+
+
 # -- 2. differential multi-thread TPC-H replay -------------------------------------
 
 REPLAY_QUERIES = ["Q1", "Q3", "Q4", "Q6", "Q12", "Q14"]

@@ -7,7 +7,8 @@ import socket
 import pytest
 
 from repro import Database, DataType
-from repro.errors import ProtocolError, ServerOverloaded, TransactionError
+from repro.errors import (ProtocolError, ResourceExhausted, ServerOverloaded,
+                          TransactionError)
 from repro.server import QueryServer, ServerClient
 
 
@@ -170,6 +171,40 @@ class TestErrors:
                 assert srv.metrics()["shed"] >= 1
             # Shedding must reject, not deadlock: everyone got an answer.
             assert set(results) <= {"ok", "shed"}
+
+
+class TestAnalyzedExplainIsAQuery:
+    """``explain`` with ``analyze: true`` executes the query, so it goes
+    through the same admission queue and resource lease as ``query``."""
+
+    def test_leased_row_budget_governs_the_profiled_run(self, db):
+        # Dispatched in-process: the client cannot rebuild a
+        # ResourceExhausted from its wire payload.
+        with QueryServer(db, max_workers=1, query_row_budget=2) as srv:
+            with db.session() as session:
+                request = {"sql": "select a from t"}
+                with pytest.raises(ResourceExhausted):
+                    srv._dispatch(session, dict(request, op="query"))
+                with pytest.raises(ResourceExhausted):
+                    srv._dispatch(session, dict(request, op="explain",
+                                                analyze=True))
+                # A plain explain runs nothing and takes no lease.
+                plain = srv._dispatch(session, dict(request, op="explain"))
+                assert "TableScan" in plain["plan"]
+
+    def test_admitted_and_lease_returned(self, db):
+        with QueryServer(db, max_workers=1, pool_row_budget=100) as srv:
+            with ServerClient(*srv.address) as cli:
+                examined = cli.query("select a from t").stats.rows_examined
+                before = srv.metrics()["admission"]["completed"]
+                cli.explain("select a from t")
+                assert srv.metrics()["admission"]["completed"] == before
+                payload = cli.explain("select a from t", analyze=True,
+                                      format="dict")
+                assert payload["stats"]["row_budget"] == 100
+                assert payload["stats"]["rows_examined"] == examined > 0
+                assert srv.metrics()["admission"]["completed"] == before + 1
+            assert srv.pool.available()["row_budget"] == 100
 
 
 class TestMetrics:
