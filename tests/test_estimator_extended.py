@@ -106,3 +106,26 @@ class TestSetAndLimitEstimates:
         unknown = Get("mystery", [Column("z", DataType.INTEGER)], [])
         est = Estimator(stats_provider).estimate(unknown)
         assert est.rows > 0
+
+
+class TestEstimateCache:
+    def test_freed_tree_cannot_serve_its_estimate_to_a_new_one(self):
+        """Greedy join ordering estimates throw-away candidate joins
+        through one long-lived estimator.  A candidate freed after its
+        estimate gives its address to the next one allocated; a cache
+        keyed by address then hands the new join the old join's rows."""
+        cust, ck = customer_get()
+        orders, ok, ock = orders_get()
+        estimator = Estimator(stats_provider)
+        first = Join(JoinKind.INNER, cust, orders, equals(ock, ck))
+        address = id(first)
+        assert estimator.estimate(first).rows == pytest.approx(10000)
+        del first
+        # The cross product allocated next takes the freed address at
+        # once on CPython; its estimate must be its own.
+        second = Join(JoinKind.INNER, cust, orders)
+        reused = id(second) == address
+        fresh = Estimator(stats_provider).estimate(second).rows
+        assert fresh == pytest.approx(10_000_000)
+        assert estimator.estimate(second).rows == fresh, \
+            f"stale estimate (address reused: {reused})"

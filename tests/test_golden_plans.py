@@ -2,12 +2,13 @@
 
 Each golden file under ``tests/goldens/`` holds the
 :func:`~repro.algebra.printer.plan_signature` of the FULL-mode physical
-plan for one query — TPC-H Q2 and Q17 (the paper's two running
-examples) and the three Figure 4 formulations of the Section 1.1
-query.  Signatures normalize column ids to first-appearance ordinals,
-so they are stable across processes and sessions; the plans themselves
-are engine-independent (the tuple and vectorized engines compile the
-same physical tree).
+plan for one query — all 22 TPC-H templates (Q2 and Q17 are the paper's
+two running examples) and the three Figure 4 formulations of the
+Section 1.1 query.  Signatures normalize column ids to first-appearance
+ordinals, so they are stable across processes and sessions — a second
+interpreter with another ``PYTHONHASHSEED`` must reproduce every one;
+the plans themselves are engine-independent (the tuple and vectorized
+engines compile the same physical tree).
 
 An intentional optimizer change updates the snapshots with::
 
@@ -18,8 +19,12 @@ three Figure 4 formulations must additionally collapse to *one*
 signature (paper Section 1.2, syntax independence).
 """
 
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -36,7 +41,7 @@ def _slug(name: str) -> str:
 
 
 def _cases() -> dict[str, str]:
-    cases = {"tpch_q2": QUERIES["Q2"], "tpch_q17": QUERIES["Q17"]}
+    cases = {f"tpch_{name.lower()}": sql for name, sql in QUERIES.items()}
     for name, sql in paper_example_formulations().items():
         cases[f"fig4_{_slug(name)}"] = sql
     return cases
@@ -45,13 +50,17 @@ def _cases() -> dict[str, str]:
 CASES = _cases()
 
 
-@pytest.fixture(scope="module")
-def golden_db() -> Database:
+def make_golden_db() -> Database:
     # Deterministic instance: same seed, same stats, same plans.
     db = Database()
     create_tpch_schema(db)
     generate_tpch(db, scale_factor=0.001, seed=7)
     return db
+
+
+@pytest.fixture(scope="module")
+def golden_db() -> Database:
+    return make_golden_db()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -66,6 +75,39 @@ def test_plan_matches_golden(golden_db, name, request):
     assert signature == expected, \
         f"plan for {name} drifted from {path.name}; if intentional, " \
         f"rerun with --update-goldens and review the diff"
+
+
+RECOMPILE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from repro import FULL
+from repro.algebra.printer import plan_signature
+from test_golden_plans import CASES, make_golden_db
+
+db = make_golden_db()
+print(json.dumps({name: plan_signature(db.plan(sql, FULL)) + "\\n"
+                  for name, sql in CASES.items()}))
+"""
+
+
+def test_goldens_repeat_under_another_hash_seed():
+    """Same text, same plan, in every process: a fresh interpreter whose
+    string hashes (and so set and dict orders) differ from this one's
+    compiles every case to its golden signature."""
+    import repro
+
+    seed = "4242" if os.environ.get("PYTHONHASHSEED") != "4242" else "2424"
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", RECOMPILE, src, str(GOLDEN_DIR.parent)],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONHASHSEED": seed})
+    assert done.returncode == 0, done.stderr
+    signatures = json.loads(done.stdout.splitlines()[-1])
+    assert signatures.keys() == CASES.keys()
+    drifted = [name for name, signature in signatures.items()
+               if signature != (GOLDEN_DIR / f"{name}.plan").read_text()]
+    assert drifted == []
 
 
 def test_figure4_formulations_converge(golden_db):
