@@ -72,7 +72,7 @@ def _groupby_pushdown_variants(rel: RelationalOp) -> list[RelationalOp]:
     results: list[RelationalOp] = []
 
     def visit(node: RelationalOp, rebuild) -> None:
-        if isinstance(node, GroupBy) and isinstance(node.child, Join):
+        if rule.matches(node):
             for rewritten in rule.apply(node, memo=None):
                 results.append(rebuild(rewritten))
         for i, child in enumerate(node.children):
