@@ -136,19 +136,24 @@ def key_within(rel: RelationalOp, columns: ColumnSet) -> frozenset[int] | None:
 # Functional dependencies
 # ---------------------------------------------------------------------------
 
-def derive_fds(rel: RelationalOp) -> FDSet:
-    """A sound (not complete) FD set holding on the operator's output."""
+def derive_fds(rel: RelationalOp,
+               keys: list[frozenset[int]] | None = None) -> FDSet:
+    """A sound (not complete) FD set holding on the operator's output.
+
+    ``keys`` is ``derive_keys(rel)`` when the caller already has it."""
     memo_fds = getattr(rel, "memo_fds", None)
     if memo_fds is not None:
         return memo_fds
 
-    out_ids = [c.cid for c in rel.output_columns()]
+    out_ids = frozenset(c.cid for c in rel.output_columns())
 
-    if isinstance(rel, (Get, ConstantScan, SegmentRef)):
-        fds = FDSet()
-        for key in derive_keys(rel):
+    def add_keys(fds: FDSet) -> FDSet:
+        for key in derive_keys(rel) if keys is None else keys:
             fds.add(key, out_ids)
         return fds
+
+    if isinstance(rel, (Get, ConstantScan, SegmentRef)):
+        return add_keys(FDSet())
 
     if isinstance(rel, Select):
         fds = derive_fds(rel.child).copy()
@@ -185,26 +190,15 @@ def derive_fds(rel: RelationalOp) -> FDSet:
             # LEFT OUTER: right-side FDs are weakened by NULL padding; only
             # keys-derived dependencies on the combined key stay sound.
             pass
-        for key in derive_keys(rel):
-            fds.add(key, out_ids)
-        return fds
+        return add_keys(fds)
 
     if isinstance(rel, Apply):
-        fds = derive_fds(rel.left).copy()
-        for key in derive_keys(rel):
-            fds.add(key, out_ids)
-        return fds
+        return add_keys(derive_fds(rel.left).copy())
 
     if isinstance(rel, SegmentApply):
-        fds = derive_fds(rel.right).copy()
-        for key in derive_keys(rel):
-            fds.add(key, out_ids)
-        return fds
+        return add_keys(derive_fds(rel.right).copy())
 
-    fds = FDSet()
-    for key in derive_keys(rel):
-        fds.add(key, out_ids)
-    return fds
+    return add_keys(FDSet())
 
 
 def _add_predicate_fds(fds: FDSet, predicate: ScalarExpr) -> None:

@@ -71,12 +71,14 @@ class ScalarExpr:
 
     def free_columns(self) -> ColumnSet:
         """All columns this expression reads (including inside subqueries)."""
-        result = ColumnSet()
+        found: dict[int, Column] = {}
         for child in self.children:
-            result = result.union(child.free_columns())
+            for column in child.free_columns():
+                found.setdefault(column.cid, column)
         for rel in self.relational_children:
-            result = result.union(rel.outer_references())
-        return result
+            for column in rel.outer_references():
+                found.setdefault(column.cid, column)
+        return ColumnSet(found.values())
 
     def substitute_columns(self, mapping: Mapping[int, "ScalarExpr"]) -> "ScalarExpr":
         """Replace column references by ``mapping[cid]`` where present."""
