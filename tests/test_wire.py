@@ -173,24 +173,69 @@ class TestErrors:
             assert set(results) <= {"ok", "shed"}
 
 
+def _error_samples():
+    """One instance of every ReproError subclass in repro.errors, built
+    with structured attributes where the class has them."""
+    from repro import errors
+    from repro.analysis.issues import AnalysisIssue
+
+    built = {
+        errors.SqlSyntaxError: errors.SqlSyntaxError("unexpected ')'", 3, 14),
+        errors.PlanInvariantError: errors.PlanInvariantError(
+            "plan failed static analysis",
+            [AnalysisIssue("columns.unresolved", "stray#7 is not produced",
+                           "Select(stray#7 = 1)", (0, 1))],
+            blame="test_rule turned valid tree into an invalid one"),
+        errors.QueryTimeout: errors.QueryTimeout(1.5, 2.25),
+        errors.ResourceExhausted: errors.ResourceExhausted("row", 10, 11),
+        errors.OptimizerBudgetExceeded: errors.OptimizerBudgetExceeded(
+            "rule-application", 200_000),
+        errors.InjectedFault: errors.InjectedFault("wal.append", torn=True),
+        errors.ServerOverloaded: errors.ServerOverloaded("queue full", 4, 5),
+        errors.SubqueryReturnedMultipleRows:
+            errors.SubqueryReturnedMultipleRows(),
+    }
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type)
+               and issubclass(value, errors.ReproError)]
+    return [built.get(cls) or cls(f"{cls.__name__} raised by the server")
+            for cls in classes]
+
+
+class TestErrorRoundTrip:
+    @pytest.mark.parametrize("error", _error_samples(),
+                             ids=lambda error: type(error).__name__)
+    def test_type_message_and_attributes_survive_the_wire(
+            self, server, client, monkeypatch, error):
+        def fail(session, request):
+            raise error
+
+        monkeypatch.setattr(server, "_dispatch", fail)
+        with pytest.raises(type(error)) as excinfo:
+            client.request({"op": "ping"})
+        rebuilt = excinfo.value
+        assert type(rebuilt) is type(error)
+        assert rebuilt.args == error.args
+        assert vars(rebuilt) == vars(error)
+
+
 class TestAnalyzedExplainIsAQuery:
     """``explain`` with ``analyze: true`` executes the query, so it goes
     through the same admission queue and resource lease as ``query``."""
 
     def test_leased_row_budget_governs_the_profiled_run(self, db):
-        # Dispatched in-process: the client cannot rebuild a
-        # ResourceExhausted from its wire payload.
+        sql = "select a from t"
         with QueryServer(db, max_workers=1, query_row_budget=2) as srv:
-            with db.session() as session:
-                request = {"sql": "select a from t"}
-                with pytest.raises(ResourceExhausted):
-                    srv._dispatch(session, dict(request, op="query"))
-                with pytest.raises(ResourceExhausted):
-                    srv._dispatch(session, dict(request, op="explain",
-                                                analyze=True))
+            with ServerClient(*srv.address) as cli:
+                with pytest.raises(ResourceExhausted) as query_error:
+                    cli.query(sql)
+                with pytest.raises(ResourceExhausted) as explain_error:
+                    cli.explain(sql, analyze=True)
+                for error in (query_error.value, explain_error.value):
+                    assert (error.resource, error.limit) == ("row", 2)
+                    assert error.used > 2
                 # A plain explain runs nothing and takes no lease.
-                plain = srv._dispatch(session, dict(request, op="explain"))
-                assert "TableScan" in plain["plan"]
+                assert "TableScan" in cli.explain(sql)
 
     def test_admitted_and_lease_returned(self, db):
         with QueryServer(db, max_workers=1, pool_row_budget=100) as srv:
