@@ -86,10 +86,6 @@ class DataType(enum.Enum):
     def is_numeric(self) -> bool:
         return self in (DataType.INTEGER, DataType.FLOAT, DataType.DECIMAL)
 
-    @property
-    def is_comparable(self) -> bool:
-        return True
-
 
 #: Python value classes accepted for each SQL type.
 _PYTHON_CLASSES = {

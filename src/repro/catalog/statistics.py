@@ -41,10 +41,6 @@ class Histogram:
     def bucket_count(self) -> int:
         return len(self.boundaries) - 1
 
-    @property
-    def total_rows(self) -> float:
-        return self.rows_per_bucket * self.bucket_count
-
     def fraction_below(self, value: Any, inclusive: bool = False) -> float:
         """Estimated fraction of (non-NULL) rows ``< value`` (or ``<=``)."""
         if self.bucket_count <= 0:

@@ -39,19 +39,6 @@ class TrackedColumn:
     needs_min: bool
     needs_max: bool
 
-    @property
-    def backing_columns(self) -> list[str]:
-        names = []
-        if self.needs_sum:
-            names.append(f"sum_{self.column}")
-        if self.needs_cnt:
-            names.append(f"cnt_{self.column}")
-        if self.needs_min:
-            names.append(f"min_{self.column}")
-        if self.needs_max:
-            names.append(f"max_{self.column}")
-        return names
-
 
 @dataclass(frozen=True)
 class MatViewDef:
