@@ -33,9 +33,7 @@ def apply_record(catalog, storage, record: dict,
     kind = record.get("kind")
     if kind == "commit":
         for name, rows in record.get("writes", {}).items():
-            stored = storage.get(name)
-            for row in rows:
-                stored.insert(decode_row(row))
+            storage.get(name).insert_rows(decode_row(row) for row in rows)
     elif kind == "create_table":
         table = table_def_from_dict(record["table"])
         catalog.create_table(table)

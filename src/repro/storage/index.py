@@ -7,27 +7,65 @@ Two kinds back the catalog's :class:`~repro.catalog.IndexDef`:
   equality and range scans.
 
 Indexes store *row positions* into the owning table's row list, so they stay
-valid as long as the table is append-only (deletes rebuild).
+valid as long as the table is append-only (deletes rebuild).  Rows whose
+key contains NULL are never indexed: SQL equality and range comparisons
+with NULL never evaluate TRUE, so such rows can never match a seek.
+
+Both kinds are written in *insert batches*: :meth:`insert` takes the
+position ``first`` of the batch's first row, and the owning table calls
+:meth:`end_batch` when the batch is over (see
+:meth:`~repro.storage.table.StoredTable.insert_rows`).  Readers never
+write: a lookup on an installed table version touches no index state.
 """
 
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 
 class HashIndex:
-    """Equality index mapping key tuples to row positions."""
+    """Equality index mapping key tuples to row positions.  Versions share
+    the never-mutated map ``_buckets`` and copy only ``_delta``, the keys
+    changed since it was built; buckets are shared too (see :meth:`insert`).
+    """
 
     def __init__(self, positions: Sequence[int]) -> None:
         self.positions = tuple(positions)  # column positions forming the key
         self._buckets: dict[tuple, list[int]] = {}
+        self._delta: dict[tuple, list[int]] = {}
 
     def key_of(self, row: tuple) -> tuple:
         return tuple(row[p] for p in self.positions)
 
-    def insert(self, row: tuple, row_position: int) -> None:
-        self._buckets.setdefault(self.key_of(row), []).append(row_position)
+    def insert(self, row: tuple, row_position: int, first: int) -> None:
+        """Add ``row_position`` under ``row``'s key.
+
+        No bucket reachable from an installed version is ever mutated.
+        A bucket is appended to in place only if it holds a position at
+        or after ``first``: the batch in progress created or copied it.
+        Any other bucket may be shared, so it is replaced by a copy.
+        Positions grow with the store, so ownership ends with the batch.
+        """
+        key = self.key_of(row)
+        if None in key:
+            return
+        bucket = self._delta.get(key) or self._buckets.get(key)
+        if bucket is None:
+            self._delta[key] = [row_position]
+        elif bucket[-1] >= first:
+            bucket.append(row_position)
+        else:
+            self._delta[key] = bucket + [row_position]
+
+    def end_batch(self) -> None:
+        """Fold the delta into a new shared map once it exceeds an eighth
+        of it: clones copy at most that, folds cost O(1) per changed key."""
+        if len(self._delta) > len(self._buckets) >> 3:
+            self._buckets = ({**self._buckets, **self._delta}
+                             if self._buckets else self._delta)
+            self._delta = {}
 
     def lookup(self, key: tuple) -> Sequence[int]:
         """Row positions whose key equals ``key`` (NULL never matches).
@@ -38,36 +76,37 @@ class HashIndex:
         """
         if None in key:
             return []
-        return self._buckets.get(key) or []
+        return self._delta.get(key) or self._buckets.get(key) or []
 
     def lookup_many(self, keys: Iterable[tuple]) -> list[Sequence[int]]:
         """:meth:`lookup` for a batch of probe keys: one (read-only)
         position sequence per key, in key order."""
-        get = self._buckets.get
+        delta, get = self._delta.get, self._buckets.get
         empty: Sequence[int] = ()
-        return [empty if None in key else get(key, empty) for key in keys]
+        return [empty if None in key else delta(key) or get(key, empty)
+                for key in keys]
 
     def rebuild(self, rows: Sequence[tuple]) -> None:
-        self._buckets.clear()
+        self._buckets, self._delta = {}, {}
         for position, row in enumerate(rows):
-            self.insert(row, position)
+            self.insert(row, position, 0)
+        self.end_batch()
 
     def clone(self) -> "HashIndex":
-        """An independent copy (for copy-on-write table versions)."""
+        """A copy-on-write successor: copies the delta, shares the rest."""
         new = HashIndex(self.positions)
-        new._buckets = {key: list(positions)
-                        for key, positions in self._buckets.items()}
+        new._buckets, new._delta = self._buckets, dict(self._delta)
         return new
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        return sum(len(b) for b in {**self._buckets, **self._delta}.values())
 
 
 class OrderedIndex:
     """Sorted index supporting equality and range scans.
 
-    Rows whose key contains NULL are excluded (SQL comparisons with NULL
-    never evaluate TRUE, so they can never match a seek predicate).
+    Inserts append; :meth:`end_batch` restores key order on the writer
+    side, so an installed version is always sorted and lookups only read.
     """
 
     def __init__(self, positions: Sequence[int]) -> None:
@@ -78,22 +117,23 @@ class OrderedIndex:
     def key_of(self, row: tuple) -> tuple:
         return tuple(row[p] for p in self.positions)
 
-    def insert(self, row: tuple, row_position: int) -> None:
+    def insert(self, row: tuple, row_position: int, first: int) -> None:
         key = self.key_of(row)
-        if any(part is None for part in key):
+        if None in key:
             return
         self._entries.append((key, row_position))
         self._sorted = False
 
-    def _ensure_sorted(self) -> None:
+    def end_batch(self) -> None:
+        """Sort the batch's entries into place (stable: equal keys stay
+        in position order)."""
         if not self._sorted:
-            self._entries.sort(key=lambda e: e[0])
+            self._entries.sort(key=itemgetter(0))
             self._sorted = True
 
     def lookup(self, key: tuple) -> list[int]:
         if None in key:
             return []
-        self._ensure_sorted()
         entries = self._entries
         lo = bisect.bisect_left(entries, (key, -1))
         result = []
@@ -112,7 +152,6 @@ class OrderedIndex:
                    low_inclusive: bool = True,
                    high_inclusive: bool = True) -> Iterator[int]:
         """Row positions with key in the given (prefix) range, in key order."""
-        self._ensure_sorted()
         if low is None:
             start = 0
         else:
@@ -135,16 +174,15 @@ class OrderedIndex:
             yield position
 
     def rebuild(self, rows: Sequence[tuple]) -> None:
-        self._entries.clear()
+        self._entries = []
         for position, row in enumerate(rows):
-            self.insert(row, position)
-        self._sorted = False
+            self.insert(row, position, 0)
+        self.end_batch()
 
     def clone(self) -> "OrderedIndex":
         """An independent copy (for copy-on-write table versions)."""
         new = OrderedIndex(self.positions)
         new._entries = list(self._entries)
-        new._sorted = self._sorted
         return new
 
     def __len__(self) -> int:

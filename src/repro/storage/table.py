@@ -117,23 +117,36 @@ class StoredTable:
     # -- mutation ---------------------------------------------------------------
 
     def insert(self, values: Sequence[Any] | Mapping[str, Any]) -> tuple:
-        row = self._coerce(values)
-        self._check_types(row)
-        self._check_keys(row)
-        position = len(self._store)
-        self._store.append(row)
-        for index in self._key_indexes:
-            index.insert(row, position)
-        for index in self._indexes.values():
-            index.insert(row, position)
-        self._stats_cache = None
-        return row
+        return self.insert_rows((values,))[0]
 
     def insert_rows(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]
                     ) -> list[tuple]:
         """Insert a batch and return the coerced stored tuples — the
-        exact form commit paths log to the write-ahead log."""
-        return [self.insert(values) for values in rows]
+        exact form commit paths log to the write-ahead log.
+
+        The call is one index insert batch (:mod:`repro.storage.index`),
+        closed even when a row fails, so the indexes always match the
+        rows stored.
+        """
+        first = len(self._store)
+        indexes = [*self._key_indexes, *self._indexes.values()]
+        inserted = []
+        try:
+            for values in rows:
+                row = self._coerce(values)
+                self._check_types(row)
+                self._check_keys(row)
+                position = len(self._store)
+                self._store.append(row)
+                for index in indexes:
+                    index.insert(row, position, first)
+                inserted.append(row)
+        finally:
+            if len(self._store) > first:
+                self._stats_cache = None
+            for index in indexes:
+                index.end_batch()
+        return inserted
 
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
         return len(self.insert_rows(rows))
@@ -245,10 +258,11 @@ class StoredTable:
         """An independent copy-on-write successor of this version.
 
         Sealed chunks are shared outright (they are immutable, decode /
-        pivot caches included); only the mutable tail and the indexes
-        are copied, so inserts into the clone are invisible to readers
-        of this version.  Statistics are shared until the clone's first
-        insert drops them (they describe identical data at clone time).
+        pivot caches included); the mutable tail and the ordered-index
+        entry lists are copied, and hash indexes copy only the keys
+        changed since their last fold, so inserts into the clone are
+        invisible to readers of this version.  Statistics are shared
+        until the clone's first insert drops them.
         """
         new = StoredTable.__new__(StoredTable)
         new.definition = self.definition

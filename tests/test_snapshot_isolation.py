@@ -17,7 +17,7 @@
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, DataType
@@ -27,37 +27,68 @@ from repro.tpch import QUERIES, create_tpch_schema, generate_tpch
 
 OPS = st.lists(
     st.sampled_from(["w_insert", "o_insert", "begin", "commit", "rollback",
-                     "read_r", "read_w", "ddl"]),
+                     "read_r", "read_w", "read_g", "ddl"]),
     min_size=4, max_size=24)
 
+#: Counts ``t``'s rows in group 0 of the non-unique indexed column ``g``:
+#: the read goes through an index seek, so it sees the index buckets of
+#: whichever version (pinned, staged or committed) the session reads.
+SEEK_SQL = "select count(*) from t where g = 0"
+PRELOAD = 12  # enough rows that the optimizer picks the seek
 
-@given(ops=OPS)
+
+def _t_rows(next_key, n):
+    return [(k, k % 3) for k in (next(next_key) for _ in range(n))]
+
+
+def _group0(rows):
+    return sum(1 for _, g in rows if g == 0)
+
+
+@given(ops=OPS, index_kind=st.sampled_from(["hash", "ordered"]))
 @settings(max_examples=40, deadline=None)
-def test_interleavings_match_shadow_model(ops):
+# Staged rows land in index buckets the committed version shares: the
+# reader's seek must not see them, before or after a second batch.
+@example(ops=["begin", "w_insert", "read_g", "w_insert", "read_g",
+              "commit", "read_g"], index_kind="hash")
+@example(ops=["begin", "w_insert", "read_g", "w_insert", "read_g",
+              "commit", "read_g"], index_kind="ordered")
+def test_interleavings_match_shadow_model(ops, index_kind):
     db = Database()
-    db.create_table("t", [("k", DataType.INTEGER, False)],
+    db.create_table("t", [("k", DataType.INTEGER, False),
+                          ("g", DataType.INTEGER, False)],
                     primary_key=("k",))
     db.create_table("u", [("k", DataType.INTEGER, False)],
                     primary_key=("k",))
+    db.create_index("ix_t_g", "t", ["g"], kind=index_kind)
     writer = db.session()
     other = db.session()
     reader = db.session()
 
-    committed = {"t": 0, "u": 0}      # shadow model: committed row counts
-    snap = None                       # writer's pinned counts at begin()
-    pending_t = 0                     # rows the writer has staged into t
     next_key = iter(range(10_000))
+    preload = _t_rows(next_key, PRELOAD)
+    db.insert("t", preload)
+    # shadow model: committed row counts, and t's rows with g = 0
+    committed = {"t": PRELOAD, "u": 0, "g0": _group0(preload)}
+    snap = None                       # writer's pinned counts at begin()
+    pending_t = pending_g0 = 0        # rows the writer has staged into t
     ddl_seq = iter(range(10_000))
+
+    def seek_count(session):
+        assert "IndexSeek(t;" in session.explain(SEEK_SQL), index_kind
+        return session.execute(SEEK_SQL).scalar()
 
     try:
         for op in ops:
             if op == "w_insert":
-                rows = [(next(next_key),) for _ in range(2)]
+                rows = _t_rows(next_key, 2)
                 writer.insert("t", rows)
                 if writer.in_transaction:
                     pending_t += len(rows)
+                    pending_g0 += _group0(rows)
                 else:
                     committed["t"] += len(rows)
+                    committed["g0"] += _group0(rows)
             elif op == "o_insert":
                 # Autocommit from a different session, different table —
                 # visible to new snapshots immediately, invisible to the
@@ -69,16 +100,17 @@ def test_interleavings_match_shadow_model(ops):
                 if not writer.in_transaction:
                     writer.begin()
                     snap = dict(committed)
-                    pending_t = 0
+                    pending_t = pending_g0 = 0
             elif op == "commit":
                 if writer.in_transaction:
                     writer.commit()
                     committed["t"] += pending_t
-                    snap, pending_t = None, 0
+                    committed["g0"] += pending_g0
+                    snap, pending_t, pending_g0 = None, 0, 0
             elif op == "rollback":
                 if writer.in_transaction:
                     writer.rollback()
-                    snap, pending_t = None, 0
+                    snap, pending_t, pending_g0 = None, 0, 0
             elif op == "read_r":
                 # The reader autocommits: every statement pins a fresh
                 # snapshot and must see exactly the committed state.
@@ -93,6 +125,12 @@ def test_interleavings_match_shadow_model(ops):
                 extra = pending_t if writer.in_transaction else 0
                 assert got_t == base["t"] + extra, (op, ops)
                 assert got_u == base["u"], (op, ops)
+            elif op == "read_g":
+                # Both sides of the writer's transaction, through the seek.
+                assert seek_count(reader) == committed["g0"], (op, ops)
+                base = snap if writer.in_transaction else committed
+                extra = pending_g0 if writer.in_transaction else 0
+                assert seek_count(writer) == base["g0"] + extra, (op, ops)
             elif op == "ddl":
                 # DDL autocommits (from a session with no open txn) and
                 # must not disturb anyone's pinned snapshot or the data.
