@@ -331,6 +331,39 @@ class TestMaintenance:
             "SELECT * FROM mv", use_matviews=False).rows)
         assert base == view
 
+    def test_date_plus_interval_filter_maintained_like_refresh(self):
+        import datetime
+        db = Database()
+        db.create_table("ev", [("g", DataType.INTEGER, False),
+                               ("d", DataType.DATE, True),
+                               ("x", DataType.INTEGER, True)])
+        start = datetime.date(2020, 1, 25)
+        db.insert("ev", [(i % 3, start + datetime.timedelta(days=i), i)
+                         for i in range(20)])
+        where = ("d + INTERVAL '3' DAY > DATE '2020-02-01' AND "
+                 "d + INTERVAL '1' MONTH <= DATE '2020-03-05'")
+        db.execute("CREATE MATERIALIZED VIEW mv AS SELECT g, count(*) "
+                   f"AS n, sum(x) AS s FROM ev WHERE {where} GROUP BY g")
+        delta = [(0, datetime.date(2020, 1, 29), 100),   # fails 1st
+                 (1, datetime.date(2020, 1, 30), 200),   # passes both
+                 (2, datetime.date(2020, 2, 5), 300),    # fails 2nd
+                 (2, None, 400),                          # NULL date
+                 (4, datetime.date(2020, 2, 1), 500)]    # new group
+        with db.session() as session:
+            session.begin()
+            session.insert("ev", delta)
+            session.commit()
+        assert db.matviews.status()["maintained_commits"] == 1
+        incremental = sorted(db.storage.get("mv").rows)
+        db.execute("REFRESH MATERIALIZED VIEW mv")
+        assert sorted(db.storage.get("mv").rows) == incremental
+        sql = (f"SELECT g, count(*) AS n, sum(x) AS s FROM ev "
+               f"WHERE {where} GROUP BY g ORDER BY g")
+        assert db.explain(sql, format="dict")["matview"]["view"] == "mv"
+        base, rewritten = both_ways(db, sql)
+        assert base == rewritten
+        assert dict((g, n) for g, n, _ in base)[4] == 1
+
 
 # -- library-level pieces ------------------------------------------------------
 

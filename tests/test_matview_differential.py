@@ -4,7 +4,10 @@ For every query the rewrite can touch — exact-group, coarser-group,
 global-aggregate, residual-predicate and parameterized forms — the
 views-on answer must be bit-identical to the views-off answer across
 all three engines and all three execution modes, *including after
-commits have folded deltas into the view backings*.  Hypothesis drives
+commits have folded deltas into the view backings*.  A second view
+carries a WHERE over the nullable column (BETWEEN, IN lists holding
+NULL, IS [NOT] NULL, OR/NOT, arithmetic), so maintenance must drop
+exactly the delta rows the defining query's filter drops.  Hypothesis drives
 NULL-rich base data and random delta batches; the integer-only value
 domain keeps every stored partial sum exact, so "bit-identical" is a
 meaningful claim (float partial sums re-associate and are documented
@@ -48,6 +51,27 @@ CORPUS = (
     "select t.g, sum(t.v) from t where t.v > 0 group by t.g",
 )
 
+#: The filtered view's WHERE.  Every conjunct meets NULL ``v`` through
+#: a different 3VL path; the matcher consumes the view's conjuncts only
+#: when a query repeats them verbatim.
+FILTER = ("(v BETWEEN -20 AND 30 OR v IN (1, NULL, -45)"
+          " OR v NOT IN (2, NULL) OR v IS NULL)"
+          " AND (v IS NOT NULL OR NOT (g = 2))"
+          " AND (v IS NULL OR (v * 2 - h < 40 AND NOT (- v > 45)))")
+
+FILTERED_VIEW_SQL = ("SELECT g, h, count(*) AS n, count(v) AS nv, "
+                     "sum(v) AS s, min(v) AS lo, max(v) AS hi "
+                     f"FROM t WHERE {FILTER} GROUP BY g, h")
+
+#: Queries only the filtered view can answer.
+FILTERED_CORPUS = (
+    f"select t.g, count(*), sum(t.v), min(t.v), max(t.v) from t"
+    f" where {FILTER} group by t.g",
+    f"select count(*), count(t.v), avg(t.v) from t where {FILTER}",
+    f"select t.g, t.h, sum(t.v) from t where {FILTER} and t.h = 1"
+    f" group by t.g, t.h",
+)
+
 PARAM_SQL = "select t.g, count(*), sum(t.v) from t where t.h = ?" \
             " group by t.g order by 1"
 
@@ -58,7 +82,7 @@ delta_strategy = st.lists(row, min_size=1, max_size=10)
 
 
 def build_pair(rows):
-    """Two identical databases: one with the view, one without."""
+    """Two identical databases: one with both views, one without."""
     dbs = []
     for with_view in (False, True):
         db = Database(batch_size=3, chunk_rows=4)
@@ -69,6 +93,7 @@ def build_pair(rows):
             db.insert("t", rows)
         if with_view:
             db.matviews.create("mv", VIEW_SQL)
+            db.matviews.create("mv_f", FILTERED_VIEW_SQL)
         dbs.append(db)
     return dbs[0], dbs[1]
 
@@ -103,7 +128,7 @@ def assert_identical(plain: Database, viewed: Database, sql: str,
 @given(rows=rows_strategy)
 def test_rewrite_is_invisible(rows):
     plain, viewed = build_pair(rows)
-    for sql in CORPUS:
+    for sql in CORPUS + FILTERED_CORPUS:
         assert_identical(plain, viewed, sql)
     for value in (0, 1, 2):
         assert_identical(plain, viewed, PARAM_SQL, params=[value])
@@ -121,12 +146,23 @@ def test_incremental_maintenance_is_invisible(rows, deltas):
                 session.insert("t", delta)
                 session.commit()
     assert viewed.matviews.status()["maintained_commits"] == len(deltas)
-    for sql in CORPUS:
+    for sql in CORPUS + FILTERED_CORPUS:
         assert_identical(plain, viewed, sql)
-    # The incrementally maintained backing must equal a full recompute.
-    maintained = sorted(viewed.storage.get("mv").rows)
-    viewed.matviews.refresh("mv")
-    assert sorted(viewed.storage.get("mv").rows) == maintained
+    # Each incrementally maintained backing must equal a full recompute.
+    for view in ("mv", "mv_f"):
+        maintained = sorted(viewed.storage.get(view).rows, key=_row_key)
+        viewed.matviews.refresh(view)
+        assert sorted(viewed.storage.get(view).rows,
+                      key=_row_key) == maintained, view
+
+
+def test_filtered_corpus_is_answered_by_the_filtered_view():
+    """Guards the suite against passing vacuously: every filtered query
+    must really be rewritten to scan ``mv_f``."""
+    _, viewed = build_pair([(0, 0, 1), (2, 1, None), (3, 2, -50)])
+    for sql in FILTERED_CORPUS:
+        payload = viewed.explain(sql, format="dict")
+        assert payload["matview"]["view"] == "mv_f", sql
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
@@ -135,5 +171,5 @@ def test_autocommit_inserts_maintain_the_view(rows, delta):
     plain, viewed = build_pair(rows)
     plain.insert("t", delta)
     viewed.insert("t", delta)
-    for sql in CORPUS[:4]:
+    for sql in CORPUS[:4] + FILTERED_CORPUS[:1]:
         assert_identical(plain, viewed, sql)
