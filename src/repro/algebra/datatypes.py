@@ -179,9 +179,6 @@ def sql_not(a: bool | None) -> bool | None:
     return not a
 
 
-_COMPARE_OPS = {"=", "<>", "<", "<=", ">", ">="}
-
-
 def sql_compare(op: str, left: Any, right: Any) -> bool | None:
     """SQL comparison with NULL propagation.
 

@@ -171,7 +171,6 @@ class Literal(ScalarExpr):
 
 TRUE = Literal(True)
 FALSE = Literal(False)
-NULL_BOOLEAN = Literal(None, DataType.BOOLEAN)
 
 
 class Parameter(ScalarExpr):

@@ -127,11 +127,6 @@ HIERARCHY: tuple[LockSpec, ...] = (
                  "(condition variable)."),
     LockSpec("server.pool", 72,
              doc="Global resource-pool budget (condition variable)."),
-    LockSpec("morsel.pool", 73,
-             doc="Lazy construction of the shared morsel helper pool."),
-    LockSpec("morsel.queue", 74, dynamic=True, hot=True,
-             doc="Per-query morsel work queue: task cursor, ordered "
-                 "results, error/cancel flags (condition variable)."),
     LockSpec("dbapi.pool", 80,
              doc="DB-API connection-pool free list (condition variable)."),
     LockSpec("wire.active", 84, hot=True,
@@ -740,8 +735,6 @@ GUARDED_FIELDS: tuple[_FieldGuard, ...] = (
                  "_completed", "_failed")),
     _FieldGuard("ResourcePool", "_cv",
                 ("_memory_available", "_rows_available")),
-    _FieldGuard("MorselQueue", "_cv",
-                ("_next_task", "_results", "_error", "_cancelled")),
     _FieldGuard("QueryServer", "_active_lock", ("_active_requests",)),
     _FieldGuard("Database", "_sessions_lock", ("_open_sessions",)),
     _FieldGuard("FeedbackLoop", "_lock",

@@ -138,9 +138,7 @@ class Database:
                  path: str | None = None,
                  fsync: bool = True,
                  checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-                 morsel_workers: int = 1,
-                 chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 matview_rewrite: bool = True
+                 chunk_rows: int = DEFAULT_CHUNK_ROWS
                  ) -> None:
         if default_engine not in ENGINES:
             raise ValueError(
@@ -150,12 +148,8 @@ class Database:
         self.storage = Storage(chunk_rows=chunk_rows)
         self._binder = Binder(self.catalog)
         self._executor = PhysicalExecutor(self.storage)
-        # ``morsel_workers > 1`` lets multi-chunk vectorized scans fan
-        # chunks out over the shared morsel helper pool (repro.executor
-        # .morsel); 1 — the default — keeps scans on the query thread.
         self._vectorized = VectorizedExecutor(self.storage,
-                                              batch_size=batch_size,
-                                              morsel_workers=morsel_workers)
+                                              batch_size=batch_size)
         self.default_engine = default_engine
         #: Runtime cardinality observations (repro.feedback); consulted
         #: by every optimizer this database builds.
@@ -168,8 +162,8 @@ class Database:
         #: ``EXPLAIN ANALYZE`` profiles its one execution regardless.
         self.feedback_enabled = feedback
         # ``plan_cache_shards=1`` keeps exact global LRU order (the
-        # single-threaded default); servers pass more shards to spread
-        # lock contention across stripes (see repro.server).
+        # single-threaded default); more shards trade that order for
+        # less lock contention between concurrent sessions.
         self.plan_cache = PlanCache(plan_cache_capacity,
                                     row_count_of=self._row_count,
                                     validator=self._plan_admissible,
@@ -181,9 +175,6 @@ class Database:
         #: hook makes every transactional install fold its deltas into
         #: affected view backings within the same snapshot swap.
         self.matviews = MatViewManager(self)
-        #: Master switch for transparent view rewriting; per-query
-        #: override via ``execute(..., use_matviews=...)``.
-        self.matview_rewrite = matview_rewrite
         self.storage.matviews = self.matviews
         # -- durability (repro.durability) -----------------------------
         # ``path=None`` (the default) is a purely in-memory database:
@@ -397,7 +388,7 @@ class Database:
                 governor: ResourceGovernor | None = None,
                 engine: str | None = None,
                 snapshot=None,
-                use_matviews: bool | None = None) -> QueryResult:
+                use_matviews: bool = True) -> QueryResult:
         """Execute ``sql``, binding ``params`` to its parameter markers.
 
         Plans are served from :attr:`plan_cache`: re-executing the same
@@ -429,10 +420,8 @@ class Database:
         isolation; plans and the plan cache are unaffected (a plan is
         data-version agnostic).
 
-        ``use_matviews`` overrides the database's
-        :attr:`matview_rewrite` switch for this one statement: ``False``
-        forces the query to run against base tables even when a
-        materialized view matches (``True`` re-enables per query).
+        ``use_matviews=False`` forces the statement to run against base
+        tables even when a materialized view matches.
 
         ``CREATE MATERIALIZED VIEW name AS select``, ``DROP MATERIALIZED
         VIEW name`` and ``REFRESH MATERIALIZED VIEW name`` are routed to
@@ -471,10 +460,8 @@ class Database:
         # ``analyze`` without ``explain`` is :meth:`_explain` calling
         # back: run profiled and hand the profile to the renderer.
         analyze = statement.analyze
-        allow_rewrite = (self.matview_rewrite if use_matviews is None
-                         else use_matviews)
         entry = self._cached_plan(statement, resolved, gov,
-                                  resolved_engine, allow_rewrite, snapshot)
+                                  resolved_engine, use_matviews, snapshot)
         # The token stream and key are garbage once the plan is in hand:
         # dropped before execution, so a long query does not carry a
         # statement's worth of young objects through every collection.
@@ -633,8 +620,7 @@ class Database:
         backing table is not resolvable from it the statement is
         recompiled against base tables instead of failing mid-execution.
         """
-        requested = allow_rewrite and self.matview_rewrite
-        mode_key = mode.name if requested else mode.name + "#raw"
+        mode_key = mode.name if allow_rewrite else mode.name + "#raw"
         try:
             entry = self.plan_cache.get(statement.key, mode_key,
                                         self.catalog.version, engine)
@@ -642,7 +628,8 @@ class Database:
             entry = None
         if entry is None:
             entry = self._compile(statement, mode, gov, engine, mode_key,
-                                  requested and self.catalog.has_matviews())
+                                  allow_rewrite
+                                  and self.catalog.has_matviews())
             if not entry.degraded:
                 try:
                     self.plan_cache.put(entry)
@@ -816,7 +803,7 @@ class Database:
                  options: ExplainOptions, engine: str | None,
                  params: Params, gov: ResourceGovernor | None = None,
                  snapshot=None,
-                 use_matviews: bool | None = None) -> "str | dict":
+                 use_matviews: bool = True) -> "str | dict":
         """Render the entry ``execute`` would run under the same
         governor, read view and rewrite policy; with ``options.analyze``
         run it, through :meth:`execute` itself, and annotate the run."""
@@ -829,10 +816,8 @@ class Database:
                 use_matviews=use_matviews)
             entry = result.profiled[0]
         else:
-            entry = self._cached_plan(
-                statement, mode, gov, engine,
-                self.matview_rewrite if use_matviews is None
-                else use_matviews, snapshot)
+            entry = self._cached_plan(statement, mode, gov, engine,
+                                      use_matviews, snapshot)
         return render(entry, statement.sql, mode.name, options,
                       Estimator(self._stats_provider,
                                 corrections=self.corrections), result)
@@ -845,7 +830,7 @@ class Database:
         mode = self._resolve_mode(mode)
         return self._compile(
             lex_query(sql), mode, None, self.default_engine, mode.name,
-            self.matview_rewrite and self.catalog.has_matviews()).plan
+            self.catalog.has_matviews()).plan
 
     def _optimizer(self, mode: ExecutionMode,
                    gov: ResourceGovernor | None = None) -> Optimizer:

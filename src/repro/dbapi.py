@@ -59,7 +59,7 @@ class OperationalError(DatabaseError):
     transaction conflicts, lock timeouts, overload shedding."""
 
 
-class NotSupportedError(DatabaseError):
+class NotSupportedError(DatabaseError):  # noqa: required by PEP 249
     """A requested feature the engine does not provide."""
 
 

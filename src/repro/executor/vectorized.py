@@ -62,7 +62,6 @@ from ..physical.plan import (PConstantScan, PDifference, PFilter,
 from ..storage.columnar import ScanUnit, compile_zone_filters
 from ..storage.table import Storage
 from .expressions import build_layout, compile_expr
-from .morsel import run_morsels
 from .naive import _SortValue
 from .physical import (ExecutionContext, PhysicalExecutor, _loop_join_row,
                        _TopNEntry, compile_apply_loop)
@@ -277,15 +276,11 @@ class VectorizedExecutor:
     """
 
     def __init__(self, storage: Storage,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 morsel_workers: int = 1) -> None:
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         if batch_size < 1:
             raise ExecutionError("batch_size must be at least 1")
-        if morsel_workers < 1:
-            raise ExecutionError("morsel_workers must be at least 1")
         self._storage = storage
         self._batch_size = batch_size
-        self._morsel_workers = morsel_workers
         # Row-engine sibling for the per-row Apply path: inner plans
         # with no batched form, and the replay of a batch whose batched
         # inner raised (see _prepare_PNLApply).
@@ -354,11 +349,6 @@ class VectorizedExecutor:
         governor and to the scan node's profile count, so `EXPLAIN
         ANALYZE` actuals and budget accounting stay identical to the
         tuple engine (which scans every row).
-
-        With ``morsel_workers > 1`` multi-chunk scans fan chunks out as
-        morsels over the shared helper pool (see :mod:`.morsel`); the
-        ordered merge plus consumer-side governor/profile charging keep
-        parallel output and accounting bit-identical to serial.
         """
         name = plan.table_name
         size = self._batch_size
@@ -372,14 +362,12 @@ class VectorizedExecutor:
             prunes = []
         fused = predicate is not None
         scan_key = id(plan)
-        workers = self._morsel_workers
 
         def process_unit(unit: ScanUnit, params
                          ) -> tuple[list[tuple[int, Optional[Batch]]], bool]:
             """Decode and filter one storage chunk.  Returns the ordered
             (rows_charged, surviving_batch_or_None) steps plus whether
-            the chunk was zone-map pruned without decoding — pure, so it
-            may run on a morsel helper thread."""
+            the chunk was zone-map pruned without decoding."""
             if prunes and any(fn(unit.zones, params) for fn in prunes):
                 return [(unit.nrows, None)], True
             cols = unit.columns()
@@ -413,15 +401,8 @@ class VectorizedExecutor:
             scanned = 0
             skipped = 0
             try:
-                if workers > 1 and len(units) > 1:
-                    per_unit: Iterator[tuple] = run_morsels(
-                        len(units),
-                        lambda i: process_unit(units[i], params),
-                        workers - 1)
-                else:
-                    per_unit = (process_unit(unit, params)
-                                for unit in units)
-                for steps, pruned in per_unit:
+                for steps, pruned in (process_unit(unit, params)
+                                      for unit in units):
                     if pruned:
                         skipped += 1
                     for charged, batch in steps:
@@ -516,7 +497,7 @@ class VectorizedExecutor:
     def _prepare_PFilter(self, plan: PFilter) -> _VecExecutable:
         if isinstance(plan.child, PTableScan):
             # Fuse filter into the scan: zone-map chunk skipping plus
-            # decode-and-filter morsels.  The scan node's profile count
+            # per-chunk decode-and-filter.  The scan node's profile count
             # is maintained inside the fused source.
             self._storage.get(plan.child.table_name)  # validate eagerly
             return _VecExecutable(

@@ -19,7 +19,7 @@ table and exploits its decomposability three ways:
 from .advisor import DEFAULT_MIN_HITS, auto_materialize, recommend
 from .canonical import AggSpec, CanonicalAggregate, canonicalize
 from .definition import MatViewDef, MatViewError, TrackedColumn
-from .maintenance import local_aggregate, merge
+from .maintenance import local_aggregate, merge, where_filter
 from .manager import (MATVIEW_LOCK_TIMEOUT, MatViewManager,
                       Recommendation)
 from .matcher import match_rewrite
@@ -28,4 +28,4 @@ __all__ = ["AggSpec", "CanonicalAggregate", "DEFAULT_MIN_HITS",
            "MATVIEW_LOCK_TIMEOUT", "MatViewDef", "MatViewError",
            "MatViewManager", "Recommendation", "TrackedColumn",
            "auto_materialize", "canonicalize", "local_aggregate",
-           "match_rewrite", "merge", "recommend"]
+           "match_rewrite", "merge", "recommend", "where_filter"]

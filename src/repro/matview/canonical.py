@@ -19,9 +19,9 @@ returns ``None`` and is simply ineligible for view matching — the paper's
 §3.3 segmented form only needs the plain group-by case.
 
 The same canonical expressions are re-emitted as SQL by
-:func:`emit_expr` when the matcher builds the rewritten query, and
-evaluated directly over base rows by :mod:`repro.matview.maintenance`
-when applying per-commit deltas.
+:func:`emit_expr` when the matcher builds the rewritten query and when
+a view's defining query is rebuilt for storage (which per-commit
+maintenance binds and compiles like any other query).
 """
 
 from __future__ import annotations

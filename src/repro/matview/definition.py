@@ -44,10 +44,10 @@ class TrackedColumn:
 class MatViewDef:
     """A registered materialized view.
 
-    ``conjuncts`` are canonical parameter-free predicate ASTs evaluated
-    both by SQL re-emission (build/refresh) and directly over inserted
-    rows (incremental maintenance) — one definition, two evaluators,
-    checked equivalent by the differential tests.
+    ``conjuncts`` are canonical parameter-free predicate ASTs, evaluated
+    only through their re-emission in :meth:`storage_sql`: build,
+    REFRESH and recovery execute that SQL, and per-commit maintenance
+    compiles its bound predicate (``maintenance.where_filter``).
     """
 
     name: str                        # lowered view name

@@ -6,11 +6,17 @@ not recomputed; the inserted rows are folded in.  This is the paper's
 
 * ``local_aggregate`` computes the *local* form of just the delta — one
   partial row per affected group (``count(*)``, per-column
-  ``sum``/``count``/``min``/``max`` with NULLs skipped);
+  ``sum``/``count``/``min``/``max`` with NULLs skipped) — over the delta
+  rows the view's WHERE keeps;
 * ``merge`` combines those partials into the current backing rows — the
   *global* step — which is correct precisely because every aggregate the
   view stores is decomposable (``sum``/``count`` add, ``min``/``max``
   take extrema, and ``avg`` is never stored, only re-derived).
+
+The WHERE is not interpreted here: :func:`where_filter` binds the
+view's :meth:`~MatViewDef.storage_sql` and compiles its predicate with
+the vectorized executor's compiler, so build, REFRESH, recovery and
+maintenance all filter with the same engine code.
 
 Both steps run inside ``Storage.install_many`` under the view's writer
 lock, so the new view version installs in the *same* snapshot swap as
@@ -24,110 +30,55 @@ Integer and decimal sums are exact.
 
 from __future__ import annotations
 
-import datetime
 from typing import Any, Optional, Sequence
 
-from ..algebra.datatypes import (Interval, sql_add, sql_and, sql_compare,
-                                 sql_div, sql_mul, sql_not, sql_or, sql_sub)
-from ..catalog import TableDef
-from ..sql import ast
-from .definition import MatViewDef, MatViewError
+from ..algebra.relational import Get, Select
+from ..binder import Binder
+from ..catalog import Catalog, TableDef
+from ..executor.expressions import build_layout
+from ..executor.vector_expressions import CompiledVector, compile_vector
+from ..executor.vectorized import Batch
+from ..sql import parse
+from .definition import MatViewDef
 
 RowMap = dict[str, Any]
 
 
-def eval_conjunct(expr: ast.Expr, row: RowMap) -> Optional[bool]:
-    """Three-valued truth of a canonical predicate over one base row."""
-    value = eval_scalar(expr, row)
-    if value is None or isinstance(value, bool):
-        return value
-    raise MatViewError(f"predicate evaluated to non-boolean {value!r}")
+def where_filter(catalog: Catalog,
+                 viewdef: MatViewDef) -> Optional[CompiledVector]:
+    """The view's WHERE compiled against the base table's row layout;
+    ``None`` for a view without one.
 
-
-def eval_scalar(expr: ast.Expr, row: RowMap) -> Any:
-    """Evaluate a canonical scalar expression over one base row.
-
-    Mirrors the executor's NULL-propagating semantics via the shared
-    :mod:`repro.algebra.datatypes` helpers; the differential tests hold
-    the two evaluators to identical results.
+    The bound defining query is ``Project(GroupBy(Select(Get(base))))``
+    with the ``Get`` columns in table order, so a batch built from base
+    rows lines up with the predicate's column references.
     """
-    if isinstance(expr, ast.Identifier):
-        return row[expr.parts[-1].lower()]
-    if isinstance(expr, ast.NumberLiteral):
-        return expr.value
-    if isinstance(expr, ast.StringLiteral):
-        return expr.value
-    if isinstance(expr, ast.BooleanLiteral):
-        return expr.value
-    if isinstance(expr, ast.NullLiteral):
+    if not viewdef.conjuncts:
         return None
-    if isinstance(expr, ast.DateLiteral):
-        return datetime.date.fromisoformat(expr.text)
-    if isinstance(expr, ast.IntervalLiteral):
-        if expr.unit == "day":
-            return Interval(days=expr.quantity)
-        months = expr.quantity * (12 if expr.unit == "year" else 1)
-        return Interval(months=months)
-    if isinstance(expr, ast.BinaryOp):
-        if expr.op == "and":
-            return sql_and(eval_conjunct(expr.left, row),
-                           eval_conjunct(expr.right, row))
-        if expr.op == "or":
-            return sql_or(eval_conjunct(expr.left, row),
-                          eval_conjunct(expr.right, row))
-        left = eval_scalar(expr.left, row)
-        right = eval_scalar(expr.right, row)
-        if expr.op == "+":
-            return sql_add(left, right)
-        if expr.op == "-":
-            return sql_sub(left, right)
-        if expr.op == "*":
-            return sql_mul(left, right)
-        if expr.op == "/":
-            return sql_div(left, right)
-        return sql_compare(expr.op, left, right)
-    if isinstance(expr, ast.UnaryOp):
-        if expr.op == "not":
-            return sql_not(eval_conjunct(expr.operand, row))
-        value = eval_scalar(expr.operand, row)
-        return None if value is None else -value
-    if isinstance(expr, ast.BetweenExpr):
-        operand = eval_scalar(expr.operand, row)
-        low = sql_compare(">=", operand, eval_scalar(expr.low, row))
-        high = sql_compare("<=", operand, eval_scalar(expr.high, row))
-        result = sql_and(low, high)
-        return sql_not(result) if expr.negated else result
-    if isinstance(expr, ast.IsNullExpr):
-        result = eval_scalar(expr.operand, row) is None
-        return not result if expr.negated else result
-    if isinstance(expr, ast.InExpr) and expr.values is not None:
-        operand = eval_scalar(expr.operand, row)
-        result: Optional[bool] = False
-        for value in expr.values:
-            result = sql_or(
-                result,
-                sql_compare("=", operand, eval_scalar(value, row)))
-        return sql_not(result) if expr.negated else result
-    raise MatViewError(
-        f"cannot evaluate {type(expr).__name__} during maintenance")
+    rel = Binder(catalog).bind(parse(viewdef.storage_sql())).rel
+    while not isinstance(rel, Select):
+        (rel,) = rel.children
+    assert isinstance(rel.child, Get)
+    return compile_vector(rel.predicate, build_layout(rel.child.columns))
 
 
 def local_aggregate(viewdef: MatViewDef, base: TableDef,
-                    rows: Sequence[tuple]) -> dict[tuple, RowMap]:
+                    rows: Sequence[tuple],
+                    where: Optional[CompiledVector]) -> dict[tuple, RowMap]:
     """Per-group partial aggregates of the delta rows.
 
     Returns ``group key -> partials`` in first-seen group order (dicts
-    preserve insertion order); rows failing the view's WHERE conjuncts
-    (3VL: anything but True) are dropped, matching the filter the
-    defining query applies.
+    preserve insertion order).  With a ``where`` filter (see
+    :func:`where_filter`) only the rows it holds TRUE are folded — 3VL,
+    exactly the rows the defining query keeps.
     """
+    if where is not None and rows:
+        mask = where(Batch([list(c) for c in zip(*rows)], len(rows)), {})
+        rows = [values for values, keep in zip(rows, mask) if keep is True]
     names = base.column_names
     deltas: dict[tuple, RowMap] = {}
     for values in rows:
         row = dict(zip(names, values))
-        if any(eval_conjunct(c, row) is not True
-               for c in viewdef.conjuncts):
-            continue
         key = tuple(row[col] for col in viewdef.group_cols)
         partial = deltas.get(key)
         if partial is None:

@@ -41,7 +41,7 @@ from ..concurrency import TrackedLock
 from ..errors import CatalogError, ReproError, TransactionConflict
 from ..storage import StoredTable
 from .definition import MatViewDef
-from .maintenance import local_aggregate, merge
+from .maintenance import local_aggregate, merge, where_filter
 from .matcher import match_rewrite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -205,7 +205,9 @@ class MatViewManager:
                 base_def = catalog.get_table(base_name)
                 for viewdef in catalog.matviews_on(base_name):
                     assert isinstance(viewdef, MatViewDef)
-                    deltas = local_aggregate(viewdef, base_def, rows)
+                    deltas = local_aggregate(
+                        viewdef, base_def, rows,
+                        where_filter(catalog, viewdef))
                     if not deltas:
                         continue  # every delta row fails the view filter
                     lock = self._acquire_view_lock(viewdef.name,

@@ -249,7 +249,7 @@ class Session:
                 memory_budget: int | None = None,
                 optimizer_budget: OptimizerBudget | None = None,
                 governor: ResourceGovernor | None = None,
-                use_matviews: bool | None = None):
+                use_matviews: bool = True):
         """Execute ``sql`` against this session's current read view.
 
         ``EXPLAIN [ANALYZE]`` statements plan and run against the same
@@ -275,7 +275,7 @@ class Session:
             self.stats.degraded_queries += 1
         return result
 
-    def _read_view(self, use_matviews: bool | None):
+    def _read_view(self, use_matviews: bool):
         """``(snapshot, use_matviews)`` for one statement.
 
         Inside a transaction the view is the pinned snapshot plus the
@@ -327,7 +327,7 @@ class Session:
         """:meth:`explain` with the per-request governor the wire server
         leases for an analyzed (executed) explain."""
         self._check_open()
-        snapshot, use_matviews = self._read_view(None)
+        snapshot, use_matviews = self._read_view(True)
         return self._db._explain(
             lex_query(sql),
             self._db._resolve_mode(mode if mode is not None

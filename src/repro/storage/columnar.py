@@ -189,9 +189,6 @@ class RLEColumn:
         return out
 
 
-EncodedColumn = PlainColumn | DictColumn | RLEColumn
-
-
 def choose_encoding(values: Sequence[Any]) -> str:
     """Pick an encoding for one column slice (see the module docstring)."""
     nrows = len(values)

@@ -1,8 +1,8 @@
-"""Encoding / parallelism differential harness for columnar storage.
+"""Encoding differential harness for columnar storage.
 
 The columnar layer must be invisible: for every combination of forced
-per-column encoding (plain / dictionary / RLE), vectorized batch size,
-chunk size and morsel worker count, all three engines must return
+per-column encoding (plain / dictionary / RLE), vectorized batch size
+and chunk size, all three engines must return
 exactly what they returned before — the vectorized engine bit-identical
 to the tuple engine, both agreeing with the naive interpreter up to row
 order.  Hypothesis drives NULL-rich inputs (the zone-map NULL rules and
@@ -49,9 +49,8 @@ CORPUS = (
 
 
 def build_db(t_rows, s_rows, *, t_kinds, s_kinds, batch_size=3,
-             chunk_rows=4, morsel_workers=1) -> Database:
-    db = Database(batch_size=batch_size, chunk_rows=chunk_rows,
-                  morsel_workers=morsel_workers)
+             chunk_rows=4) -> Database:
+    db = Database(batch_size=batch_size, chunk_rows=chunk_rows)
     db.create_table("t", [("id", DataType.INTEGER, False),
                           ("grp", DataType.INTEGER, True),
                           ("val", DataType.INTEGER, True),
@@ -94,14 +93,11 @@ kind = st.sampled_from(ENCODINGS)
        s_kinds=st.tuples(kind, kind, kind),
        batch_size=st.sampled_from((1, 3, 7)),
        chunk_rows=st.sampled_from((2, 4, 16)),
-       morsel_workers=st.sampled_from((1, 2, 8)),
        sql=st.sampled_from(CORPUS))
-def test_encoding_parallelism_sweep(t_rows, s_rows, t_kinds, s_kinds,
-                                    batch_size, chunk_rows,
-                                    morsel_workers, sql):
+def test_encoding_sweep(t_rows, s_rows, t_kinds, s_kinds, batch_size,
+                        chunk_rows, sql):
     db = build_db(t_rows, s_rows, t_kinds=t_kinds, s_kinds=s_kinds,
-                  batch_size=batch_size, chunk_rows=chunk_rows,
-                  morsel_workers=morsel_workers)
+                  batch_size=batch_size, chunk_rows=chunk_rows)
     assert_engines_agree(db, sql)
 
 
@@ -117,15 +113,13 @@ NULL_RICH_S = [(None, None), (1, 1), (1, None), (2, 0), (4, 4),
 
 
 def test_uniform_encoding_grid_on_null_rich_input():
-    """Every encoding × every morsel count on the NULL-rich fixture —
-    the full corpus, all three engines."""
+    """Every encoding on the NULL-rich fixture — the full corpus, all
+    three engines."""
     for enc in ENCODINGS:
-        for workers in (1, 2, 8):
-            db = build_db(NULL_RICH_T, NULL_RICH_S,
-                          t_kinds=(enc,) * 4, s_kinds=(enc,) * 3,
-                          morsel_workers=workers)
-            for sql in CORPUS:
-                assert_engines_agree(db, sql)
+        db = build_db(NULL_RICH_T, NULL_RICH_S,
+                      t_kinds=(enc,) * 4, s_kinds=(enc,) * 3)
+        for sql in CORPUS:
+            assert_engines_agree(db, sql)
 
 
 def test_mixed_encodings_on_empty_and_tiny_tables():
@@ -133,8 +127,7 @@ def test_mixed_encodings_on_empty_and_tiny_tables():
                            ([], [(1, 1)])):
         db = build_db(t_rows, s_rows,
                       t_kinds=("rle", "dict", "plain", "rle"),
-                      s_kinds=("dict", "rle", "plain"),
-                      morsel_workers=2)
+                      s_kinds=("dict", "rle", "plain"))
         for sql in CORPUS:
             assert_engines_agree(db, sql)
 
@@ -143,8 +136,7 @@ def test_forced_encodings_survive_further_writes():
     """Writes after ``force_encodings`` seal new chunks with freshly
     chosen encodings; the re-encoded old chunks keep their data."""
     db = build_db(NULL_RICH_T, NULL_RICH_S,
-                  t_kinds=("rle",) * 4, s_kinds=("dict",) * 3,
-                  morsel_workers=2)
+                  t_kinds=("rle",) * 4, s_kinds=("dict",) * 3)
     db.insert("t", [(100 + i, i % 2, i, None) for i in range(6)])
     for sql in CORPUS:
         assert_engines_agree(db, sql)

@@ -14,7 +14,7 @@ from repro import (FULL, NAIVE, CatalogError, Database, DataType,
                    MatViewError, TransactionError)
 from repro.matview import (AggSpec, MatViewDef, auto_materialize,
                            canonicalize, local_aggregate, match_rewrite,
-                           merge, recommend)
+                           merge, recommend, where_filter)
 from repro.sql import classify_statement, parse
 
 
@@ -229,17 +229,17 @@ class TestRewrite:
         db.execute("SELECT c, count(*) AS n FROM t GROUP BY c")
         assert db.matviews.status()["rewrites"] == before
 
-    def test_rewrite_disabled_per_query_and_per_database(self):
+    def test_rewrite_disabled_per_query(self):
         db = self.view_db()
+        sql = "SELECT g, sum(c) AS s FROM t GROUP BY g"
         before = db.matviews.status()["rewrites"]
-        db.execute("SELECT g, sum(c) AS s FROM t GROUP BY g",
-                   use_matviews=False)
+        db.execute(sql, use_matviews=False)
         assert db.matviews.status()["rewrites"] == before
-        db.matview_rewrite = False
-        db.execute("SELECT g, sum(c) AS s FROM t GROUP BY g")
-        assert db.matviews.status()["rewrites"] == before
-        off = Database(matview_rewrite=False)
-        assert off.matview_rewrite is False
+        # The raw plan is cached apart from the rewritten one.
+        db.execute(sql)
+        assert db.matviews.status()["rewrites"] == before + 1
+        db.execute(sql, use_matviews=False)
+        assert db.matviews.status()["rewrites"] == before + 1
 
     def test_all_engines_and_modes_agree_through_the_view(self):
         db = self.view_db()
@@ -397,15 +397,22 @@ class TestLibraryApi:
     def test_local_aggregate_merge_matches_recompute(self):
         view = MatViewDef.from_sql(
             "mv", "SELECT g, count(*) AS n, sum(c) AS s, avg(c) AS a, "
-            "min(c) AS lo, max(c) AS hi FROM t GROUP BY g")
+            "min(c) AS lo, max(c) AS hi FROM t "
+            "WHERE c IS NULL OR c - h BETWEEN -10 AND 60 GROUP BY g")
         db = fresh_db()
         base = db.catalog.get_table("t")
         seed = list(db.storage.get("t").rows)
-        delta = [(0, 0, 55), (7, 1, None), (7, 2, -3)]
+        # kept, kept (NULL c), kept, dropped (c - h = 98), new group
+        delta = [(0, 0, 55), (7, 1, None), (7, 2, -3), (0, 2, 100),
+                 (9, 0, 1)]
         db.matviews.create("mv", view.sql)
         current = list(db.storage.get("mv").rows)
-        merged = merge(view, view.backing_def(base), current,
-                       local_aggregate(view, base, delta))
+        where = where_filter(db.catalog, view)
+        assert where is not None
+        partials = local_aggregate(view, base, delta, where)
+        assert sorted(partials) == [(0,), (7,), (9,)]
+        assert partials[(0,)]["cnt_star"] == 1
+        merged = merge(view, view.backing_def(base), current, partials)
         db.insert("t", [row for row in delta])
         db.execute("REFRESH MATERIALIZED VIEW mv")
         assert sorted(merged) == sorted(db.storage.get("mv").rows)

@@ -6,8 +6,6 @@ batch-boundary behavior, error paths, and the engine-specific execution
 decisions that the oracle can only observe indirectly.
 """
 
-import re
-
 import pytest
 
 from repro import Database, DataType, ExecutionError, ResourceExhausted
@@ -231,73 +229,3 @@ class TestOperatorPaths:
             with pytest.raises(SubqueryReturnedMultipleRows):
                 db.execute(sql.replace(" limit 1", ""), engine=engine)
 
-
-class TestMorselDeterminism:
-    """Parallel morsel scans must be invisible: 1 worker vs N workers
-    produce identical rows AND identical EXPLAIN ANALYZE actuals (a
-    skipped or parallel-decoded chunk is still charged to the scan)."""
-
-    QUERIES = (
-        "select t.a, t.b from t",
-        "select t.b, count(*), sum(t.a) from t where t.a > 25"
-        " group by t.b",
-        "select t.a from t where t.b = 3 order by 1",
-        "select count(*) from t where t.a is not null",
-        # batched Applies above the parallel scan: a guarded scalar
-        # aggregate over an index seek, and a semi probe
-        "select t.a, case when t.a > 20 then (select count(*) from u"
-        " where u.k = t.b) else 0 end from t",
-        "select t.a from t where exists"
-        " (select * from u where u.k = t.b and u.v > t.a)",
-    )
-
-    def loaded(self, morsel_workers) -> Database:
-        db = Database(batch_size=7, chunk_rows=16,
-                      morsel_workers=morsel_workers)
-        db.create_table("t", [("a", DataType.INTEGER, False),
-                              ("b", DataType.INTEGER, True)],
-                        primary_key=("a",))
-        db.insert("t", [(i, i % 5 if i % 7 else None)
-                        for i in range(150)])
-        db.create_table("u", [("id", DataType.INTEGER, False),
-                              ("k", DataType.INTEGER, True),
-                              ("v", DataType.INTEGER, True)],
-                        primary_key=("id",))
-        db.create_index("u_k", "u", ["k"])
-        db.insert("u", [(i, i % 4 if i % 3 else None, i * 9)
-                        for i in range(40)])
-        return db
-
-    @staticmethod
-    def actuals(node, out):
-        # Column ids are globally unique, so strip the #id suffixes to
-        # compare plans across independent Database instances.
-        op = re.sub(r"#\d+", "", node["op"])
-        out.append((op, node["actual_rows"]))
-        for child in node.get("children", ()):
-            TestMorselDeterminism.actuals(child, out)
-        return out
-
-    def test_parallel_scan_matches_serial(self):
-        from repro import FULL
-        serial = self.loaded(1)
-        parallel = self.loaded(8)
-        applies = [label for label in self.actuals(serial.explain(
-            self.QUERIES[-2], FULL, format="dict")["plan"], [])
-            if label[0].startswith("NLApply")]
-        assert applies, "the guarded subquery must keep its Apply"
-        for sql in self.QUERIES:
-            assert parallel.execute(sql, FULL).rows \
-                == serial.execute(sql, FULL).rows, sql
-            serial_plan = serial.explain(
-                sql, FULL, analyze=True, format="dict",
-                engine="vectorized")
-            parallel_plan = parallel.explain(
-                sql, FULL, analyze=True, format="dict",
-                engine="vectorized")
-            assert self.actuals(parallel_plan["plan"], []) \
-                == self.actuals(serial_plan["plan"], []), sql
-
-    def test_worker_count_is_validated(self):
-        with pytest.raises(ExecutionError):
-            VectorizedExecutor(Database().storage, morsel_workers=0)
