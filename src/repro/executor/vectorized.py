@@ -401,8 +401,8 @@ class VectorizedExecutor:
             scanned = 0
             skipped = 0
             try:
-                for steps, pruned in (process_unit(unit, params)
-                                      for unit in units):
+                for unit in units:
+                    steps, pruned = process_unit(unit, params)
                     if pruned:
                         skipped += 1
                     for charged, batch in steps:

@@ -115,10 +115,11 @@ def module_definitions(path):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
-            found.extend((node.lineno, target.id)
+            found.extend((node.lineno, name.id)
                          for target in targets
-                         for target in ast.walk(target)
-                         if isinstance(target, ast.Name))
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name)
+                         and isinstance(name.ctx, ast.Store))
     return found
 
 
