@@ -8,6 +8,8 @@ plan), per-commit incremental maintenance, DDL invalidation, the
 plan-cache-mining advisor, and the session-level gating rules.
 """
 
+import datetime
+
 import pytest
 
 from repro import (FULL, NAIVE, CatalogError, Database, DataType,
@@ -332,7 +334,6 @@ class TestMaintenance:
         assert base == view
 
     def test_date_plus_interval_filter_maintained_like_refresh(self):
-        import datetime
         db = Database()
         db.create_table("ev", [("g", DataType.INTEGER, False),
                                ("d", DataType.DATE, True),
@@ -346,7 +347,7 @@ class TestMaintenance:
                    f"AS n, sum(x) AS s FROM ev WHERE {where} GROUP BY g")
         delta = [(0, datetime.date(2020, 1, 29), 100),   # fails 1st
                  (1, datetime.date(2020, 1, 30), 200),   # passes both
-                 (2, datetime.date(2020, 2, 5), 300),    # fails 2nd
+                 (2, datetime.date(2020, 2, 6), 300),    # fails 2nd
                  (2, None, 400),                          # NULL date
                  (4, datetime.date(2020, 2, 1), 500)]    # new group
         with db.session() as session:
