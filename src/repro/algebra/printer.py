@@ -46,7 +46,10 @@ def _relational_children(expr) -> list:
     return found
 
 
-_CID_PATTERN = re.compile(r"#(\d+)")
+#: A column id (the ``#17`` of ``name#17``), or a whole single-quoted
+#: string literal (``''`` escapes a quote) so that ids are never read
+#: inside one: ``'Brand#12'`` is text, not column 12.
+_CID_PATTERN = re.compile(r"'(?:[^']|'')*'|#(\d+)")
 
 
 def plan_signature(rel: "RelationalOp") -> str:
@@ -56,7 +59,8 @@ def plan_signature(rel: "RelationalOp") -> str:
     example, the optimized plans of two equivalent SQL formulations) yield
     the same signature.  Physical plans are accepted as well: they print
     themselves (via ``explain_physical``), and their column ids are
-    normalized the same way.
+    normalized the same way.  String literals are kept verbatim, so plans
+    that differ in one never share a signature.
     """
     if hasattr(rel, "local_expressions"):
         text = explain(rel)
@@ -66,6 +70,8 @@ def plan_signature(rel: "RelationalOp") -> str:
 
     def normalize(match: re.Match) -> str:
         cid = match.group(1)
+        if cid is None:  # a string literal
+            return match.group(0)
         if cid not in mapping:
             mapping[cid] = f"c{len(mapping) + 1}"
         return "#" + mapping[cid]

@@ -585,7 +585,7 @@ class Like(ScalarExpr):
 
     def sql(self) -> str:
         op = "NOT LIKE" if self.negated else "LIKE"
-        return f"{self.arg.sql()} {op} '{self.pattern}'"
+        return f"{self.arg.sql()} {op} {Literal(self.pattern).sql()}"
 
 
 class InList(ScalarExpr):
