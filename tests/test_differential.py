@@ -233,6 +233,75 @@ def test_engines_agree_on_empty_tables():
         assert_engines_agree(db, sql)
 
 
+# -- cross-input disjunctions --------------------------------------------------
+#
+# An OR of ANDs over both join inputs stays on the join, and each input
+# is filtered first by the single-input OR it implies.  Branches mix
+# local conjuncts of either side (comparisons, IS [NOT] NULL, IN lists
+# holding NULL) with cross-input comparisons, so some branches have no
+# conjunct local to a side and nothing is derived for it.
+
+@st.composite
+def side_conjunct(draw, columns):
+    column = draw(st.sampled_from(columns))
+    kind = draw(st.integers(0, 2))
+    negated = "not " if draw(st.booleans()) else ""
+    if kind == 0:
+        return f"{column} {draw(op)} {draw(literal)}"
+    if kind == 1:
+        return f"{column} is {negated}null"
+    values = draw(st.lists(st.one_of(literal, st.just("null")),
+                           min_size=1, max_size=3))
+    return f"{column} {negated}in ({', '.join(values)})"
+
+
+@st.composite
+def cross_input_or(draw):
+    conjunct = st.one_of(
+        side_conjunct(T_COLS), side_conjunct(S_COLS),
+        st.builds(lambda a, o, b: f"{a} {o} {b}", t_col, op, s_col))
+    branches = draw(st.lists(st.lists(conjunct, min_size=1, max_size=3),
+                             min_size=2, max_size=3))
+    return " or ".join("(" + " and ".join(b) + ")" for b in branches)
+
+
+@st.composite
+def cross_input_query(draw):
+    join = draw(st.sampled_from(["t join s on s.ref = t.grp",
+                                 "t left outer join s on s.ref = t.grp",
+                                 "t, s"]))
+    return f"select t.id, s.sid from {join} where {draw(cross_input_or())}"
+
+
+@settings(max_examples=4 * MAX_EXAMPLES, deadline=None,
+          derandomize=not DEEP, database=None)
+@given(t_rows=t_rows_strategy, s_rows=s_rows_strategy,
+       sql=cross_input_query())
+def test_cross_input_or_agrees(t_rows, s_rows, sql):
+    assert_engines_agree(build_db(t_rows, s_rows), sql)
+
+
+def test_cross_input_or_corpus():
+    db = build_db([(None, None, None), (1, 2, 3), (1, None, 0),
+                   (2, 0, 0), (None, 4, 1), (4, 1, None)],
+                  [(None, None), (1, 1), (1, None), (2, 0), (4, 4),
+                   (None, 2)])
+    for join in ("t join s on s.ref = t.grp",
+                 "t left outer join s on s.ref = t.grp", "t, s"):
+        for where in (
+                # Q7's pair test
+                "(t.val = 1 and s.amt = 2) or (t.val = 2 and s.amt = 1)",
+                # Q19's shape: every branch local to both sides
+                "(t.tag in (0, null) and t.val <= 2 and s.amt is null)"
+                " or (t.tag = 1 and t.val is not null and s.amt >= 1)",
+                # a branch with no t-local conjunct: nothing for t
+                "(t.val is null and s.amt = 0) or (s.amt > t.tag)",
+                "(t.grp not in (1, null) and s.amt < 3)"
+                " or (t.val = 4 and s.amt is null) or (t.tag = s.amt)"):
+            assert_engines_agree(
+                db, f"select t.id, s.sid from {join} where {where}")
+
+
 # -- surviving Apply: batched vs. per-row execution -----------------------------
 #
 # CORRELATED mode keeps every subquery as an Apply, and an index on

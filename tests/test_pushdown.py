@@ -1,11 +1,17 @@
-"""Dedicated tests for selection pushdown and OR-conjunct factoring."""
+"""Dedicated tests for selection pushdown, OR-conjunct factoring and the
+single-input filters implied by a cross-input OR."""
 
 import pytest
 
-from repro.algebra import (And, Column, ColumnRef, Comparison, DataType,
-                           Get, Join, JoinKind, Literal, Max1row, Or,
-                           Select, Top, collect_nodes, conjunction, equals)
-from repro.core.optimizer.pushdown import factor_conjuncts, push_selections
+import itertools
+
+from repro.algebra import (And, Arithmetic, Column, ColumnRef, Comparison,
+                           DataType, Get, InList, IsNull, Join, JoinKind,
+                           Literal, Max1row, Or, Select, Top, collect_nodes,
+                           conjunction, equals)
+from repro.core.optimizer.pushdown import (factor_conjuncts, implied_filter,
+                                           push_selections)
+from repro.executor.naive import NaiveInterpreter
 
 from .helpers import customer_scan, orders_scan
 
@@ -116,6 +122,127 @@ class TestPushdownStructure:
         pushed = push_selections(tree)
         selects = collect_nodes(pushed, lambda n: isinstance(n, Select))
         assert len(selects) == 2  # one per branch, remapped
+
+
+class TestImpliedFilters:
+    """A disjunction that reads both join inputs stays on the join and
+    sends each input ``OR over branches of (its branch-local conjuncts)``."""
+
+    def _tables(self):
+        t_a = Column("t_a", DataType.INTEGER)
+        t_b = Column("t_b", DataType.INTEGER)
+        s_a = Column("s_a", DataType.INTEGER)
+        s_b = Column("s_b", DataType.INTEGER)
+        return (Get("t", [t_a, t_b], []), Get("s", [s_a, s_b], []),
+                (t_a, t_b, s_a, s_b))
+
+    def _filters(self, pushed, table):
+        """Predicates of the Selects sitting right on Get(``table``)."""
+        return [n.predicate for n in collect_nodes(
+            pushed, lambda n: isinstance(n, Select)
+            and getattr(n.child, "table_name", None) == table)]
+
+    def test_q7_shape_derives_one_filter_per_input(self):
+        """(n1 = F ∧ n2 = G) ∨ (n1 = G ∧ n2 = F): each nation instance is
+        filtered to {F, G} and the pair test stays on the join."""
+        t, s, (t_a, _, s_a, _) = self._tables()
+        pair = Or([And([cmp(t_a, "=", 1), cmp(s_a, "=", 2)]),
+                   And([cmp(t_a, "=", 2), cmp(s_a, "=", 1)])])
+        pushed = push_selections(Select(Join.cross(t, s), pair))
+        (join,) = collect_nodes(pushed, lambda n: isinstance(n, Join))
+        assert join.predicate == pair
+        assert self._filters(pushed, "t") == [
+            Or([cmp(t_a, "=", 1), cmp(t_a, "=", 2)])]
+        assert self._filters(pushed, "s") == [
+            Or([cmp(s_a, "=", 2), cmp(s_a, "=", 1)])]
+
+    def test_q19_shape_derives_filters_for_both_inputs(self):
+        li, (lk, lqty, _) = _li()
+        part, (pk, psize) = _part()
+        branch1 = And([equals(pk, lk), cmp(lqty, "<", 10),
+                       cmp(psize, "<", 5)])
+        branch2 = And([equals(pk, lk), cmp(lqty, ">=", 10),
+                       cmp(psize, ">=", 5)])
+        pushed = push_selections(Select(Join.cross(li, part),
+                                        Or([branch1, branch2])))
+        (join,) = collect_nodes(pushed, lambda n: isinstance(n, Join))
+        assert equals(pk, lk) in join.predicate.args
+        assert Or([cmp(lqty, "<", 10), cmp(psize, "<", 5)]).sql() not in \
+            join.predicate.sql()
+        assert self._filters(pushed, "lineitem") == [
+            Or([cmp(lqty, "<", 10), cmp(lqty, ">=", 10)])]
+        assert self._filters(pushed, "part") == [
+            Or([cmp(psize, "<", 5), cmp(psize, ">=", 5)])]
+
+    def test_branch_without_local_conjunct_derives_nothing(self):
+        t, s, (t_a, t_b, s_a, _) = self._tables()
+        pred = Or([And([cmp(t_a, "=", 1), cmp(s_a, "=", 2)]),
+                   cmp(s_a, "=", 3)])
+        assert implied_filter(pred, t) is None
+        assert implied_filter(pred, s) == Or([cmp(s_a, "=", 2),
+                                              cmp(s_a, "=", 3)])
+        pushed = push_selections(Select(Join.cross(t, s), pred))
+        assert self._filters(pushed, "t") == []
+        assert self._filters(pushed, "s") == [implied_filter(pred, s)]
+
+    def test_division_is_not_derived(self):
+        """A conjunct that can raise is never run on rows the OR did not
+        see: t_a / t_b raises where t_b = 0."""
+        t, s, (t_a, t_b, s_a, _) = self._tables()
+        ratio = Comparison(">", Arithmetic("/", ColumnRef(t_a),
+                                           ColumnRef(t_b)), Literal(1))
+        pred = Or([And([ratio, cmp(s_a, "=", 1)]),
+                   And([cmp(t_a, "=", 2), cmp(s_a, "=", 2)])])
+        assert implied_filter(pred, t) is None
+        pushed = push_selections(Select(Join.cross(t, s), pred))
+        assert self._filters(pushed, "t") == []
+        # Only the cannot-raise part of a branch is taken.
+        mixed = Or([And([ratio, cmp(t_b, "=", 0), cmp(s_a, "=", 1)]),
+                    And([cmp(t_a, "=", 2), cmp(s_a, "=", 2)])])
+        assert implied_filter(mixed, t) == Or([cmp(t_b, "=", 0),
+                                               cmp(t_a, "=", 2)])
+
+    @pytest.mark.parametrize("kind", [JoinKind.LEFT_OUTER,
+                                      JoinKind.LEFT_SEMI,
+                                      JoinKind.LEFT_ANTI])
+    def test_non_inner_joins_unchanged(self, kind):
+        t, s, (t_a, _, s_a, _) = self._tables()
+        pred = Or([And([cmp(t_a, "=", 1), cmp(s_a, "=", 2)]),
+                   And([cmp(t_a, "=", 2), cmp(s_a, "=", 1)])])
+        tree = Join(kind, t, s, pred)
+        assert repr(push_selections(tree)) == repr(tree)
+        if kind is JoinKind.LEFT_OUTER:
+            above = Select(Join(kind, t, s, None), pred)
+            assert repr(push_selections(above)) == repr(above)
+
+    def test_original_and_implied_is_original(self):
+        """Three-valued: wherever the OR is TRUE, FALSE or NULL, so is
+        ``OR ∧ implied`` — the implied filter removes only rows the OR
+        rejects anyway."""
+        t, s, (t_a, t_b, s_a, s_b) = self._tables()
+        predicates = [
+            Or([And([cmp(t_a, "=", 1), cmp(s_a, "=", 0)]),
+                And([cmp(t_a, "=", 0), cmp(s_a, "=", 1)])]),
+            Or([And([IsNull(ColumnRef(t_a)), cmp(t_b, "<", 1),
+                     cmp(s_a, "<>", 0)]),
+                And([InList(ColumnRef(t_b), [0, None]),
+                     IsNull(ColumnRef(s_b), negated=True)]),
+                And([cmp(t_a, ">=", 1), cmp(s_b, "=", 0),
+                     Or([cmp(t_b, "=", 1), cmp(s_a, "=", 1)])])]),
+            Or([And([InList(ColumnRef(t_a), [1, None], negated=True),
+                     Comparison("=", ColumnRef(t_b), ColumnRef(s_b))]),
+                And([cmp(t_b, "=", 1), cmp(s_a, "=", 1)])]),
+        ]
+        interp = NaiveInterpreter(lambda name: [])
+        columns = (t_a, t_b, s_a, s_b)
+        for pred in predicates:
+            implied = [implied_filter(pred, side) for side in (t, s)]
+            assert implied[0] is not None
+            combined = conjunction([pred] + [i for i in implied if i])
+            for values in itertools.product((None, 0, 1), repeat=4):
+                env = {c.cid: v for c, v in zip(columns, values)}
+                assert interp.scalar(combined, env) == \
+                    interp.scalar(pred, env), (pred.sql(), values)
 
 
 def _li():
