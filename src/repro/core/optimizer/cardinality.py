@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from ...algebra import (Apply, ColumnRef, Comparison, ConstantScan,
+from ...algebra import (And, Apply, ColumnRef, Comparison, ConstantScan,
                         Difference, Get, GroupBy, InList, IsNull, Join,
                         JoinKind, Like, Literal, LocalGroupBy, Max1row,
                         Not, Or, Project, RelationalOp, ScalarGroupBy,
@@ -322,6 +322,11 @@ class Estimator:
             if part.value is True:
                 return 1.0
             return 0.0
+        if isinstance(part, And):  # a branch of an OR of ANDs
+            selectivity = 1.0
+            for arg in part.args:
+                selectivity *= self._conjunct_selectivity(arg, input_est)
+            return selectivity
         if isinstance(part, Or):
             misses = 1.0
             for arg in part.args:

@@ -1,13 +1,14 @@
 """Additional cardinality-estimation coverage: Apply correlation, segment
-estimation, set operations, and limit operators."""
+estimation, set operations, limit operators and ORs of ANDs."""
 
 import pytest
 
-from repro.algebra import (AggregateCall, AggregateFunction, Apply, Column,
-                           ColumnRef, Comparison, ConstantScan, DataType,
-                           Difference, Get, GroupBy, Join, JoinKind,
-                           Literal, Max1row, ScalarGroupBy, SegmentApply,
-                           SegmentRef, Select, Top, UnionAll, equals)
+from repro.algebra import (AggregateCall, AggregateFunction, And, Apply,
+                           Column, ColumnRef, Comparison, ConstantScan,
+                           DataType, Difference, Get, GroupBy, Join,
+                           JoinKind, Literal, Max1row, Not, Or,
+                           ScalarGroupBy, SegmentApply, SegmentRef, Select,
+                           Top, UnionAll, equals)
 from repro.catalog.statistics import ColumnStats, TableStats
 from repro.core.optimizer import Estimator
 
@@ -73,6 +74,34 @@ class TestSegmentEstimates:
         est = Estimator(stats_provider).estimate(sa)
         # each row of each segment is emitted: total ≈ |orders|
         assert est.rows == pytest.approx(10000, rel=0.1)
+
+
+class TestDisjunctionEstimates:
+    """A branch of an OR of ANDs (TPC-H Q19's shape, and the filter it
+    implies per join input) is estimated as the product of its
+    conjuncts, not the 1/3 default for an unknown predicate."""
+
+    def _branches(self):
+        orders, ok, ock = orders_get()
+        first = And([equals(ock, Literal(1)), equals(ok, Literal(2))])
+        second = And([equals(ock, Literal(3)), equals(ok, Literal(4))])
+        return orders, first, second
+
+    def test_and_branch_is_product_of_conjuncts(self):
+        orders, first, second = self._branches()
+        estimator = Estimator(stats_provider)
+        base = estimator.estimate(orders)
+        branch = 1 / 1000 * 1 / 10000
+        assert estimator.predicate_selectivity(
+            Or([first, second]), base) == pytest.approx(2 * branch)
+        assert estimator.predicate_selectivity(
+            Not(first), base) == pytest.approx(1 - branch)
+
+    def test_or_of_ands_filter_rows(self):
+        orders, first, second = self._branches()
+        est = Estimator(stats_provider).estimate(
+            Select(orders, Or([first, second])))
+        assert est.rows < 1.0
 
 
 class TestSetAndLimitEstimates:
