@@ -532,10 +532,6 @@ class _FunctionWalker:
             return self.var_types.get(expr.id)
         if isinstance(expr, ast.Attribute):
             return registry.ATTR_TYPES.get(expr.attr)
-        if isinstance(expr, ast.Call):
-            callee = self._resolve_callee(expr)
-            if callee is not None:
-                return registry.RETURN_TYPES.get(callee)
         return None
 
     def _resolve_callee(self, call: ast.Call
@@ -567,10 +563,6 @@ class _FunctionWalker:
                 if ref is not None:
                     self.var_locks[target.id] = ref
                     return
-            callee = self._resolve_callee(value)
-            if callee is not None and callee in registry.RETURN_TYPES:
-                self.var_types[target.id] = registry.RETURN_TYPES[callee]
-                return
         inferred = self._type_of(value)
         if inferred is not None:
             self.var_types[target.id] = inferred
@@ -605,13 +597,6 @@ class _FunctionWalker:
                 ref = _resolve_spec(hint, None)
                 if ref is not None:
                     self.var_locks[stmt.target.id] = ref
-            return
-        # for shard in self._shards:
-        if isinstance(it, ast.Attribute) and isinstance(stmt.target,
-                                                        ast.Name):
-            elem = registry.ATTR_ELEM_TYPES.get(it.attr)
-            if elem is not None:
-                self.var_types[stmt.target.id] = elem
 
     # -- guarded fields ------------------------------------------------------------
 

@@ -30,16 +30,6 @@ ATTR_TYPES: dict[str, str] = {
     "matviews": "MatViewManager",
 }
 
-#: (class, method) → class name of the return value.
-RETURN_TYPES: dict[tuple[str, str], str] = {
-    ("PlanCache", "_shard_for"): "_Shard",
-}
-
-#: Attribute name → element class, for ``for x in self.<attr>:`` loops.
-ATTR_ELEM_TYPES: dict[str, str] = {
-    "_shards": "_Shard",
-}
-
 #: Method simple name → lock group returned.  ``writer_lock`` is the only
 #: lock-returning accessor in the engine; the name is unambiguous.
 LOCK_RETURNING: dict[str, str] = {

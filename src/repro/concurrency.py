@@ -10,9 +10,9 @@ plan invariants):
   than the highest level it already holds (re-entrant re-acquisition of
   the same :class:`TrackedRLock` is always allowed).
 * **Same-level** acquisition is allowed only for locks whose spec sets
-  ``timeout_required`` (per-table writer locks, shard stripes) and only
-  with a **bounded** acquire — a timeout converts a potential deadlock
-  into a clean :class:`~repro.errors.TransactionConflict`-style failure.
+  ``timeout_required`` (per-table writer locks) and only with a
+  **bounded** acquire — a timeout converts a potential deadlock into a
+  clean :class:`~repro.errors.TransactionConflict`-style failure.
 
 Two checkers enforce this:
 
@@ -80,7 +80,7 @@ class LockSpec:
     name: str
     #: Hierarchy level.  Acquisition order must be strictly ascending.
     level: int
-    #: True when many instances share this spec (per-table, per-shard).
+    #: True when many instances share this spec (per-table).
     dynamic: bool = False
     #: Same-level multiple acquisition is legal for this spec, but every
     #: acquire must be *bounded* (carry a timeout) so a cross-order race
@@ -118,8 +118,8 @@ HIERARCHY: tuple[LockSpec, ...] = (
              doc="Guards the runtime cardinality-correction store."),
     LockSpec("matview.stats", 58, hot=True,
              doc="Materialized-view manager observability counters."),
-    LockSpec("plancache.shard", 60, dynamic=True, hot=True,
-             doc="One LRU stripe of the plan cache."),
+    LockSpec("plancache.entries", 60, hot=True,
+             doc="The plan cache's LRU entry map."),
     LockSpec("plancache.stats", 62, hot=True,
              doc="Plan-cache counters (hits/misses/evictions)."),
     LockSpec("admission.queue", 70, hot=True,
@@ -729,7 +729,7 @@ GUARDED_FIELDS: tuple[_FieldGuard, ...] = (
                 ("_tables", "_indexes", "_views", "_matviews",
                  "version")),
     _FieldGuard("CorrectionStore", "_lock", ("_entries", "version")),
-    _FieldGuard("_Shard", "lock", ("entries",)),
+    _FieldGuard("PlanCache", "_lock", ("_entries",)),
     _FieldGuard("AdmissionController", "_cv",
                 ("_queues", "_rotation", "_closed", "_active", "_shed",
                  "_completed", "_failed")),

@@ -1,8 +1,8 @@
 """Cost-based optimizer driver — paper Section 4.
 
-Pipeline: selection pushdown → SegmentApply whole-tree variants →
-per-variant memo exploration (transformation rules) → implementation
-(physical alternatives, costed) → cheapest plan wins.
+Pipeline: selection pushdown → SegmentApply whole-tree variants, added
+to the root group of one memo → memo exploration (transformation rules)
+→ implementation (physical alternatives, costed) → cheapest plan wins.
 
 ``OptimizerConfig`` switches individual technique families on and off;
 the benchmark harness uses these switches as the paper's "systems" axis
@@ -11,8 +11,9 @@ the benchmark harness uses these switches as the paper's "systems" axis
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from ... import faultinject
 from ...algebra import RelationalOp
@@ -21,7 +22,7 @@ from ...catalog.statistics import TableStats
 from ...physical.plan import PhysicalOp
 from .cardinality import Estimate, Estimator
 from .implementation import CostedPlan, Implementer
-from .memo import GroupRefLeaf, Memo
+from .memo import GroupExpr, GroupRefLeaf, Memo
 from .pushdown import push_selections
 from .rules import DEFAULT_RULES, ChildPattern, Rule
 from .segment import segment_alternatives
@@ -38,7 +39,6 @@ class OptimizerConfig:
     segment_apply: bool = True
     index_apply: bool = True
     semijoin_rewrites: bool = True
-    max_segment_variants: int = 8
     max_memo_exprs: int = 3000
 
     def rule_enabled(self, rule: Rule) -> bool:
@@ -149,37 +149,11 @@ class Optimizer:
         if self.config.predicate_pushdown:
             rel = push_selections(rel)
         # SegmentApply patterns are detected on the canonical pushed-down
-        # shape; the greedy join seeding then runs on every variant (it
-        # must not run first — reordering can bury the aggregated self-join
-        # branch the Section 3.4 matcher looks for).
-        variants = [rel]
-        if self.config.segment_apply:
-            variants.extend(segment_alternatives(
-                rel, self.config.max_segment_variants))
-        if self.config.join_reorder:
-            from ...algebra import plan_signature
-            from .joingraph import greedy_join_order
-
-            seeded = []
-            for variant in variants:
-                reordered = greedy_join_order(
-                    variant, lambda: Estimator(
-                        self.stats_provider,
-                        corrections=self.corrections))
-                if plan_signature(reordered) != plan_signature(variant):
-                    seeded.append(reordered)
-            # Keep the original shapes too: the greedy seed widens the
-            # reachable space but must not narrow it.
-            variants = variants + seeded
-        best: Optional[CostedPlan] = None
-        for variant in variants:
-            if self.governor is not None:
-                self.governor.check_deadline()
-            costed = self._optimize_tree(variant, {})
-            if best is None or costed.cost < best.cost:
-                best = costed
-        assert best is not None
-        return best
+        # shape; each whole-tree variant joins the root group of the same
+        # memo, so shared subtrees dedupe and are explored once.
+        variants = segment_alternatives(rel) \
+            if self.config.segment_apply else []
+        return self._optimize_tree(rel, {}, alternatives=variants)
 
     def heuristic_plan(self, rel: RelationalOp) -> PhysicalOp:
         """A safe plan with no cost-based exploration.
@@ -192,15 +166,19 @@ class Optimizer:
         """
         return self._optimize_tree(rel, {}, explore=False).plan
 
-    # -- single-tree optimization ----------------------------------------------
+    # -- one memo per tree ------------------------------------------------------
 
     def _optimize_tree(self, rel: RelationalOp,
                        segment_rows: Mapping[frozenset[int], Estimate],
-                       explore: bool = True) -> CostedPlan:
+                       explore: bool = True,
+                       alternatives: Sequence[RelationalOp] = ()
+                       ) -> CostedPlan:
         context = _TreeContext(self, segment_rows)
         memo = Memo(context.make_estimator,
                     governor=self.governor if explore else None)
         root = memo.insert_tree(rel)
+        for alternative in alternatives:
+            memo.insert_tree(alternative, target_group=root)
         if explore:
             self._explore(memo)
         implementer = Implementer(memo, context)
@@ -214,9 +192,7 @@ class Optimizer:
         rules = [r for r in DEFAULT_RULES if self.config.rule_enabled(r)]
         if not rules:
             return
-        from collections import deque
-
-        queue = deque()
+        queue: deque[tuple[GroupExpr, int]] = deque()
         total = 0
         for group in memo.groups:
             for expr in group.exprs:

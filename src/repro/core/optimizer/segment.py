@@ -22,8 +22,9 @@ Two placements are generated:
 ``(R SA_A E) ⋈p T = (R ⋈p T) SA_{A∪columns(T)} E`` as a separate step so
 the Figure 6 → Figure 7 derivation can also be exercised explicitly.
 
-All rewrites here are *alternative generators*: the driver optimizes every
-variant and keeps the cheapest plan.
+All rewrites here are *alternative generators*: the optimizer adds every
+variant to the root group of the statement's memo, and the cost model
+chooses.
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ from ...algebra import (AggregateCall, Column, ColumnRef, Comparison, GroupBy,
                         derive_keys, plan_signature, transform_bottom_up)
 
 
-def segment_alternatives(rel: RelationalOp,
-                         max_variants: int = 8) -> list[RelationalOp]:
+#: Whole-tree SegmentApply variants generated per statement, at most.
+MAX_VARIANTS = 8
+
+
+def segment_alternatives(rel: RelationalOp) -> list[RelationalOp]:
     """Whole-tree variants that use SegmentApply somewhere.
 
     SegmentApply patterns surface only once the GroupBy has moved below
@@ -50,7 +54,7 @@ def segment_alternatives(rel: RelationalOp,
 
     def consider(tree: RelationalOp) -> None:
         signature = plan_signature(tree)
-        if signature not in seen and len(variants) < max_variants:
+        if signature not in seen and len(variants) < MAX_VARIANTS:
             seen.add(signature)
             variants.append(tree)
 

@@ -132,7 +132,6 @@ class Database:
     def __init__(self, plan_cache_capacity: int = 128,
                  default_engine: str = "tuple",
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 plan_cache_shards: int = 1,
                  feedback: bool = False,
                  q_error_threshold: float = DEFAULT_Q_ERROR_THRESHOLD,
                  path: str | None = None,
@@ -161,13 +160,9 @@ class Database:
         #: ungoverned execution stays at zero profiling overhead, and
         #: ``EXPLAIN ANALYZE`` profiles its one execution regardless.
         self.feedback_enabled = feedback
-        # ``plan_cache_shards=1`` keeps exact global LRU order (the
-        # single-threaded default); more shards trade that order for
-        # less lock contention between concurrent sessions.
         self.plan_cache = PlanCache(plan_cache_capacity,
                                     row_count_of=self._row_count,
-                                    validator=self._plan_admissible,
-                                    shards=plan_cache_shards)
+                                    validator=self._plan_admissible)
         self._sessions_lock = TrackedLock("db.sessions")
         self._open_sessions: set[str] = set()
         #: Materialized views (repro.matview): lifecycle, transparent

@@ -41,7 +41,9 @@ and the top-level driver meters result rows batch-wise.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
+from functools import reduce
 from typing import (AbstractSet, Any, Callable, Iterable, Iterator, Optional,
                     Sequence)
 
@@ -230,6 +232,63 @@ def match_rows(kind: JoinKind, buckets: Sequence[Sequence[int]], lb: Batch,
     return li, ri
 
 
+class _RowReplayFilter:
+    """A filter predicate over batches, conjunct by conjunct.
+
+    Errors keep the tuple engine's position (the Apply's error-replay
+    rule): when a batch raises, it is replayed row by row with the row
+    compiler, and the call returns the rows preceding the failing row
+    together with the row engine's error, which the caller raises on
+    the next pull.  Governor verdicts and injected faults are not
+    replayed.
+    """
+
+    __slots__ = ("conjuncts", "layout", "_vector", "_row")
+
+    def __init__(self, predicate, columns) -> None:
+        self.layout = build_layout(columns)
+        self.conjuncts = split_conjuncts(predicate)
+        self._vector = [compile_vector(c, self.layout)
+                        for c in self.conjuncts]
+        self._row = compile_expr(predicate, self.layout)
+
+    def __call__(self, batch: Batch, params
+                 ) -> tuple[Optional[Batch], Optional[Exception]]:
+        """The surviving rows of ``batch`` (``None`` when none survive)
+        and the error to raise after them, if any."""
+        try:
+            return self._vectorized(batch, params), None
+        except (ResourceError, InjectedFault):
+            raise
+        except Exception:
+            return self._replay(batch, params)
+
+    def _vectorized(self, batch: Batch, params) -> Optional[Batch]:
+        for conjunct in self._vector:
+            mask = conjunct(batch, params)
+            keep = [i for i, v in enumerate(mask) if v is True]
+            if not keep:
+                return None
+            batch = take_batch(batch, keep)
+        return batch
+
+    def _replay(self, batch: Batch, params
+                ) -> tuple[Optional[Batch], Optional[Exception]]:
+        keep = []
+        error: Optional[Exception] = None
+        for i, row in enumerate(batch_rows(batch)):
+            try:
+                passed = self._row(row, params) is True
+            except (ResourceError, InjectedFault):
+                raise
+            except Exception as exc:
+                error = exc
+                break
+            if passed:
+                keep.append(i)
+        return (take_batch(batch, keep) if keep else None), error
+
+
 class _VecExecutable:
     """A prepared operator: ``batches(ctx)`` yields output batches."""
 
@@ -352,24 +411,25 @@ class VectorizedExecutor:
         """
         name = plan.table_name
         size = self._batch_size
-        if predicate is not None:
-            layout = build_layout(plan.columns)
-            conjunct_exprs = split_conjuncts(predicate)
-            filters = [compile_vector(c, layout) for c in conjunct_exprs]
-            prunes = compile_zone_filters(conjunct_exprs, layout)
-        else:
-            filters = []
-            prunes = []
         fused = predicate is not None
+        if fused:
+            row_filter = _RowReplayFilter(predicate, plan.columns)
+            prunes = compile_zone_filters(row_filter.conjuncts,
+                                          row_filter.layout)
+        else:
+            prunes = []
         scan_key = id(plan)
 
         def process_unit(unit: ScanUnit, params
-                         ) -> tuple[list[tuple[int, Optional[Batch]]], bool]:
+                         ) -> tuple[list[tuple[int, Optional[Batch]]], bool,
+                                    Optional[Exception]]:
             """Decode and filter one storage chunk.  Returns the ordered
-            (rows_charged, surviving_batch_or_None) steps plus whether
-            the chunk was zone-map pruned without decoding."""
+            (rows_charged, surviving_batch_or_None) steps, whether the
+            chunk was zone-map pruned without decoding, and the error to
+            raise after the steps (the chunk's later batches are not
+            filtered once one raised)."""
             if prunes and any(fn(unit.zones, params) for fn in prunes):
-                return [(unit.nrows, None)], True
+                return [(unit.nrows, None)], True, None
             cols = unit.columns()
             total = unit.nrows
             steps: list[tuple[int, Optional[Batch]]] = []
@@ -377,20 +437,16 @@ class VectorizedExecutor:
                 stop = min(start + size, total)
                 if stop - start == total:
                     # whole-chunk batch: share the decoded lists
-                    batch: Optional[Batch] = Batch(cols, total)
+                    batch = Batch(cols, total)
                 else:
                     batch = Batch([col[start:stop] for col in cols],
                                   stop - start)
-                nrows = stop - start
-                for conjunct in filters:
-                    mask = conjunct(batch, params)
-                    keep = [i for i, v in enumerate(mask) if v is True]
-                    if not keep:
-                        batch = None
-                        break
-                    batch = take_batch(batch, keep)
-                steps.append((nrows, batch))
-            return steps, False
+                kept, error = (row_filter(batch, params) if fused
+                               else (batch, None))
+                steps.append((stop - start, kept))
+                if error is not None:
+                    return steps, False, error
+            return steps, False, None
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             table = ctx.storage.get(name)
@@ -402,7 +458,7 @@ class VectorizedExecutor:
             skipped = 0
             try:
                 for unit in units:
-                    steps, pruned = process_unit(unit, params)
+                    steps, pruned, error = process_unit(unit, params)
                     if pruned:
                         skipped += 1
                     for charged, batch in steps:
@@ -411,6 +467,8 @@ class VectorizedExecutor:
                         scanned += charged
                         if batch is not None:
                             yield batch
+                    if error is not None:
+                        raise error
             finally:
                 if profile is not None:
                     profile[scan_key] = profile.get(scan_key, 0) + scanned
@@ -503,22 +561,16 @@ class VectorizedExecutor:
             return _VecExecutable(
                 self._make_scan(plan.child, plan.predicate))
         child = self.prepare(plan.child)
-        layout = build_layout(plan.child.columns)
-        conjuncts = [compile_vector(c, layout)
-                     for c in split_conjuncts(plan.predicate)]
+        row_filter = _RowReplayFilter(plan.predicate, plan.child.columns)
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             params = ctx.params
             for batch in child.batches(ctx):
-                for predicate in conjuncts:
-                    mask = predicate(batch, params)
-                    keep = [i for i, v in enumerate(mask) if v is True]
-                    if not keep:
-                        batch = None
-                        break
-                    batch = take_batch(batch, keep)
-                if batch is not None:
-                    yield batch
+                kept, error = row_filter(batch, params)
+                if kept is not None:
+                    yield kept
+                if error is not None:
+                    raise error
         return _VecExecutable(batches)
 
     def _prepare_PProject(self, plan: PProject) -> _VecExecutable:
@@ -1164,10 +1216,13 @@ def _aggregate_specs(aggregates: Sequence[tuple[Column, AggregateCall]],
     ``count(*)`` (no values collected, row count suffices).
 
     Reducers reproduce the fold semantics of
-    :class:`~repro.algebra.aggregates.AggregateDescriptor` exactly
-    (builtin ``sum``/``min``/``max`` over the non-NULL values in input
-    order equals the left fold, including float evaluation order), so
-    both engines compute identical aggregate values.
+    :class:`~repro.algebra.aggregates.AggregateDescriptor` exactly: SUM
+    and AVG fold the non-NULL values in input order with
+    ``functools.reduce(operator.add, ...)``, the same left fold with the
+    same float evaluation order (builtin ``sum`` is not: since CPython
+    3.12 it compensates float rounding), and builtin ``min``/``max``
+    keep the first of equal values as the fold does.  So both engines
+    compute identical aggregate values on every CPython.
     """
     arg_fns = []
     specs = []
@@ -1216,7 +1271,7 @@ def _make_reducer(func: AggregateFunction, distinct: bool):
             if distinct:
                 values = _dedupe(values)
             non_null = [v for v in values if v is not None]
-            return sum(non_null) if non_null else None
+            return reduce(operator.add, non_null) if non_null else None
         return reduce_sum
 
     if func is AggregateFunction.MIN:
@@ -1242,7 +1297,7 @@ def _make_reducer(func: AggregateFunction, distinct: bool):
             non_null = [v for v in values if v is not None]
             if not non_null:
                 return None
-            return sum(non_null) / len(non_null)
+            return reduce(operator.add, non_null) / len(non_null)
         return reduce_avg
 
     raise ExecutionError(f"unhandled aggregate {func}")  # pragma: no cover

@@ -66,8 +66,8 @@ class CachedPlan:
     #: executable, so executions already holding the entry are
     #: unaffected (plans are immutable once built).
     feedback_stale: bool = False
-    #: Cache hits served for this entry, incremented under the owning
-    #: shard's lock.  The materialized-view advisor mines this as its
+    #: Cache hits served for this entry, incremented under the cache's
+    #: entry lock.  The materialized-view advisor mines this as its
     #: query-frequency signal (repro.matview.advisor).
     hits: int = 0
     #: When the plan was transparently rewritten to scan a materialized
@@ -131,59 +131,34 @@ class CacheStats:
                 "hit_rate": self.hit_rate}
 
 
-class _Shard:
-    """One lock-protected LRU segment of the cache."""
-
-    __slots__ = ("lock", "entries")
-
-    def __init__(self, index: int) -> None:
-        self.lock = TrackedLock(f"plancache.shard:{index}")
-        self.entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
-
-
 class PlanCache:
-    """Lock-striped LRU cache of :class:`CachedPlan` entries.
+    """LRU cache of :class:`CachedPlan` entries.
 
     ``row_count_of`` supplies current table sizes for the drift test; pass
     ``None`` to disable staleness checking (entries then live until DDL
     invalidation or LRU eviction).
 
-    Thread safety: entries are hashed across ``shards`` independent LRU
-    segments, each guarded by its own lock, so concurrent sessions
-    contend only when they touch the same stripe.  Capacity is divided
-    evenly across shards — with the default single shard the eviction
-    order is the exact global LRU; with more shards it is LRU per stripe
-    (approximate global LRU), the standard striping trade-off.  The
-    validator and staleness callbacks run *outside* the stripe locks:
-    they may be slow (the static analyzer, row-count probes) and must not
-    serialize unrelated lookups.
+    Thread safety: one lock guards the entry map, so eviction order is
+    the exact global LRU.  The validator and staleness callbacks run
+    *outside* that lock: they may be slow (the static analyzer,
+    row-count probes) and must not serialize unrelated lookups.
     """
 
     def __init__(self, capacity: int = 128,
                  row_count_of: Callable[[str], int] | None = None,
                  drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-                 validator: Callable[[CachedPlan], bool] | None = None,
-                 shards: int = 1) -> None:
+                 validator: Callable[[CachedPlan], bool] | None = None
+                 ) -> None:
         if capacity < 1:
             raise ValueError("plan cache capacity must be at least 1")
-        if shards < 1:
-            raise ValueError("plan cache needs at least 1 shard")
-        shards = min(shards, capacity)
         self.capacity = capacity
         self.drift_threshold = drift_threshold
         self._row_count_of = row_count_of
         self._validator = validator
-        self._shards = [_Shard(i) for i in range(shards)]
-        self._shard_capacity = -(-capacity // shards)  # ceil
+        self._lock = TrackedLock("plancache.entries")
+        self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self.stats = CacheStats()
         self._stats_lock = TrackedLock("plancache.stats")
-
-    @property
-    def shards(self) -> int:
-        return len(self._shards)
-
-    def _shard_for(self, key: tuple) -> _Shard:
-        return self._shards[hash(key) % len(self._shards)]
 
     def _bump(self, field_name: str, n: int = 1) -> None:
         with self._stats_lock:
@@ -191,16 +166,12 @@ class PlanCache:
                     getattr(self.stats, field_name) + n)
 
     def __len__(self) -> int:
-        total = 0
-        for shard in self._shards:
-            with shard.lock:
-                total += len(shard.entries)
-        return total
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
-        shard = self._shard_for(key)
-        with shard.lock:
-            return key in shard.entries
+        with self._lock:
+            return key in self._entries
 
     def get(self, sql_key: Hashable, mode_name: str,
             catalog_version: int,
@@ -208,28 +179,27 @@ class PlanCache:
         """Look up a cached plan, applying LRU touch and staleness check."""
         faultinject.hit("plancache.get")
         key = (sql_key, mode_name, engine, catalog_version)
-        shard = self._shard_for(key)
-        with shard.lock:
-            entry = shard.entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
         if entry is None:
             self._bump("misses")
             return None
         if entry.feedback_stale:
-            with shard.lock:
-                if shard.entries.get(key) is entry:
-                    del shard.entries[key]
+            with self._lock:
+                if self._entries.get(key) is entry:
+                    del self._entries[key]
             self._bump("feedback_stale")
             self._bump("misses")
             return None
         if self._is_stale(entry):
-            with shard.lock:
-                shard.entries.pop(key, None)
+            with self._lock:
+                self._entries.pop(key, None)
             self._bump("stale")
             self._bump("misses")
             return None
-        with shard.lock:
-            if key in shard.entries:
-                shard.entries.move_to_end(key)
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
                 entry.hits += 1
         self._bump("hits")
         return entry
@@ -240,14 +210,13 @@ class PlanCache:
             self._bump("rejected")
             return
         key = entry.key
-        shard = self._shard_for(key)
         evicted = 0
-        with shard.lock:
-            if key in shard.entries:
-                shard.entries.move_to_end(key)
-            shard.entries[key] = entry
-            while len(shard.entries) > self._shard_capacity:
-                shard.entries.popitem(last=False)
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = entry
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
                 evicted += 1
         if evicted:
             self._bump("evictions", evicted)
@@ -260,30 +229,25 @@ class PlanCache:
         correctness, so this is about reclaiming memory eagerly rather
         than stranding dead entries until LRU eviction.
         """
-        removed = 0
-        for shard in self._shards:
-            with shard.lock:
-                if table_name is None:
-                    removed += len(shard.entries)
-                    shard.entries.clear()
-                else:
-                    wanted = table_name.lower()
-                    doomed = [key for key, entry in shard.entries.items()
-                              if wanted in entry.table_names]
-                    for key in doomed:
-                        del shard.entries[key]
-                    removed += len(doomed)
+        with self._lock:
+            if table_name is None:
+                removed = len(self._entries)
+                self._entries.clear()
+            else:
+                wanted = table_name.lower()
+                doomed = [key for key, entry in self._entries.items()
+                          if wanted in entry.table_names]
+                for key in doomed:
+                    del self._entries[key]
+                removed = len(doomed)
         if removed:
             self._bump("invalidations", removed)
         return removed
 
     def entries(self) -> list[CachedPlan]:
-        """A point-in-time list of every cached entry (all shards)."""
-        collected: list[CachedPlan] = []
-        for shard in self._shards:
-            with shard.lock:
-                collected.extend(shard.entries.values())
-        return collected
+        """A point-in-time list of every cached entry."""
+        with self._lock:
+            return list(self._entries.values())
 
     def capture_snapshot(self,
                          table_names: Sequence[str]) -> StatsSnapshot:

@@ -18,6 +18,7 @@ CI.  Generated queries run on a ``batch_size=3`` database so every
 operator crosses batch boundaries even on seven-row tables.
 """
 
+import builtins
 import os
 from collections import Counter
 
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro import (CORRELATED, DECORRELATE_ONLY, FULL, NAIVE, Database,
                    DataType, SubqueryReturnedMultipleRows)
-from repro.executor import VectorizedExecutor
+from repro.executor import VectorizedExecutor, vectorized
 from repro.executor.physical import PhysicalExecutor
 from repro.feedback import tree_dict
 from repro.tpch import (QUERIES, create_tpch_schema, generate_tpch,
@@ -190,7 +191,7 @@ def test_generated_queries_agree(t_rows, s_rows, sql):
 def test_regression_corpus():
     """Hand-picked shapes that exercised real divergences during
     development: empty inputs, all-NULL keys, guarded division,
-    duplicate-heavy joins, zero-limit Top."""
+    duplicate-heavy joins, zero-limit Top, errors past a LIMIT."""
     db = build_db([(None, None, None), (1, 2, 3), (1, None, 0),
                    (2, 0, 0), (None, 4, 1)],
                   [(None, None), (1, 1), (1, None), (2, 0), (4, 4)])
@@ -218,6 +219,11 @@ def test_regression_corpus():
         "select t.val from t where t.grp is null order by 1 limit 2",
         "select t.grp from t except all select s.ref from s",
         "select t.grp from t union all select s.ref from s",
+        # a LIMIT that stops before the row that raises: the scan-fused
+        # filter, then a filter above an aggregate
+        "select t.id from t where t.tag / t.val > 0 limit 1",
+        "select t.grp from t group by t.grp"
+        " having sum(t.tag) / sum(t.val) > 0 limit 1",
     ]
     for sql in corpus:
         assert_engines_agree(db, sql)
@@ -514,11 +520,39 @@ class TestTpchCorpus:
                                       engine="vectorized")
         assert _rounded(result.rows) == _rounded(reference.rows)
 
+    def test_sum_folds_like_tuple_under_compensated_sum(self, tpch_db,
+                                                          monkeypatch):
+        """CPython 3.12's builtin ``sum`` compensates float rounding; the
+        vectorized SUM/AVG must keep the tuple engine's left fold."""
+        monkeypatch.setattr(vectorized, "sum", _compensated_sum,
+                            raising=False)
+        sql = QUERIES["Q1"]
+        reference = tpch_db.execute(sql, FULL, engine="tuple")
+        result = tpch_db.execute(sql, FULL, engine="vectorized")
+        assert result.rows == reference.rows
+
     def test_paper_formulations_bit_identical(self, tpch_db):
         for name, sql in paper_example_formulations().items():
             reference = tpch_db.execute(sql, FULL, engine="tuple")
             result = tpch_db.execute(sql, FULL, engine="vectorized")
             assert result.rows == reference.rows, name
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier summation, as CPython 3.12's builtin ``sum`` does over
+    floats."""
+    values = list(values)
+    if not any(isinstance(v, float) for v in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
 
 
 def _rounded(rows, digits=6):

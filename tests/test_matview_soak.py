@@ -40,7 +40,7 @@ QUERIES = [
 
 
 def build_db() -> Database:
-    db = Database(plan_cache_shards=4)
+    db = Database()
     db.create_table("t", [("pk", DataType.INTEGER, False),
                           ("g", DataType.INTEGER, False),
                           ("h", DataType.INTEGER, False),

@@ -1,16 +1,14 @@
-"""Concurrency hammer for the lock-striped plan cache.
+"""Concurrency hammer for the plan cache.
 
 Regression for the unguarded-OrderedDict races the single-threaded cache
 had: concurrent get (LRU ``move_to_end``) and put (insert + evict) used
 to corrupt the dict or raise ``RuntimeError: OrderedDict mutated during
-iteration``.  The striped cache must survive a sustained multi-thread
+iteration``.  The locked cache must survive a sustained multi-thread
 mix of hits, misses, inserts and invalidations with consistent counters
 and the capacity invariant intact.
 """
 
 import threading
-
-import pytest
 
 from repro import Database, DataType
 from repro.plancache import CachedPlan, PlanCache
@@ -28,9 +26,8 @@ def make_entry(i: int, catalog_version: int = 0) -> CachedPlan:
         snapshot=StatsSnapshot({}), table_names=frozenset({"t"}))
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_hammer_get_put_invalidate(shards):
-    cache = PlanCache(capacity=32, shards=shards)
+def test_hammer_get_put_invalidate():
+    cache = PlanCache(capacity=32)
     errors: list[BaseException] = []
     barrier = threading.Barrier(THREADS)
 
@@ -68,7 +65,7 @@ def test_hammer_through_database_execute():
     """End-to-end: concurrent sessions running the same query set must
     share cached plans without corruption and converge to a high hit
     rate."""
-    db = Database(plan_cache_shards=4)
+    db = Database()
     db.create_table("t", [("a", DataType.INTEGER, False),
                           ("b", DataType.INTEGER, False)],
                     primary_key=("a",))
@@ -116,8 +113,7 @@ def test_hammer_feedback_invalidation_never_corrupts_execution():
     misestimate again and re-trips the invalidation.  Flagging must
     never evict a plan out from under an in-flight execution: every
     result stays correct, no thread ever errors."""
-    db = Database(plan_cache_shards=4, feedback=True,
-                  q_error_threshold=1.5)
+    db = Database(feedback=True, q_error_threshold=1.5)
     db.create_table("t", [("a", DataType.INTEGER, False),
                           ("b", DataType.INTEGER, True)],
                     primary_key=("a",))

@@ -33,26 +33,26 @@ from repro.tpch import (QUERIES, create_tpch_schema, generate_tpch,
 #: enumeration.
 UNFILTERED_COUNTS = {
     "Q1": (1, 6, 7, 63),
-    "Q2": (2, 2796, 6004, 24066),
-    "Q3": (2, 55, 102, 918),
+    "Q2": (1, 1433, 3001, 10557),
+    "Q3": (1, 33, 65, 585),
     "Q4": (1, 11, 15, 135),
-    "Q5": (2, 1788, 5347, 47691),
+    "Q5": (1, 1018, 3002, 26586),
     "Q6": (1, 3, 3, 27),
-    "Q7": (2, 1559, 4758, 42822),
-    "Q8": (2, 2559, 6003, 31104),
-    "Q9": (2, 1479, 4528, 40752),
-    "Q10": (2, 1411, 3124, 25821),
-    "Q11": (2, 86, 165, 1485),
+    "Q7": (1, 742, 2265, 20385),
+    "Q8": (1, 1279, 3002, 15543),
+    "Q9": (1, 779, 2416, 21744),
+    "Q10": (1, 1358, 3001, 24714),
+    "Q11": (1, 48, 96, 864),
     "Q12": (1, 11, 17, 153),
     "Q13": (1, 18, 27, 243),
     "Q14": (1, 7, 9, 81),
-    "Q15": (2, 113, 213, 1917),
+    "Q15": (1, 56, 106, 954),
     "Q16": (1, 11, 13, 117),
-    "Q17": (4, 1420, 3070, 27099),
-    "Q18": (2, 1483, 3132, 18954),
+    "Q17": (2, 1384, 3011, 26622),
+    "Q18": (1, 1416, 3006, 17820),
     "Q19": (1, 7, 9, 81),
     "Q20": (1, 116, 234, 2106),
-    "Q21": (2, 246, 638, 5742),
+    "Q21": (1, 184, 502, 4518),
     "Q22": (1, 13, 16, 144),
     "correlated subquery": (1, 53, 102, 918),
     "outerjoin then aggregate": (1, 53, 102, 918),

@@ -45,7 +45,7 @@ MODES = ("full", "full", "full", "naive")  # mostly cached cost-based plans
 
 
 def build_db() -> Database:
-    db = Database(plan_cache_shards=4)
+    db = Database()
     db.create_table("t", [("a", DataType.INTEGER, False),
                           ("b", DataType.INTEGER, False)],
                     primary_key=("a",))
