@@ -896,6 +896,21 @@ def disjuncts(expr: ScalarExpr) -> list[ScalarExpr]:
     return [expr]
 
 
+def cannot_raise(expr: ScalarExpr) -> bool:
+    """Comparisons, IN lists, IS [NOT] NULL and LIKE over column
+    references, literals and parameters, under AND/OR/NOT — unlike, say,
+    a division, which raises on a zero divisor.  Such an expression may
+    be evaluated on rows the row engine never evaluates it on (an implied
+    filter below a join, a zone-map chunk skip) without changing which
+    error a statement raises."""
+    if isinstance(expr, (And, Or, Not)):
+        return all(cannot_raise(arg) for arg in expr.children)
+    if isinstance(expr, (Comparison, InList, IsNull, Like)):
+        return all(isinstance(arg, (ColumnRef, Literal, Parameter))
+                   for arg in expr.children)
+    return False
+
+
 def equals(left: ScalarExpr | Column, right: ScalarExpr | Column) -> Comparison:
     """Equality comparison, lifting bare columns to references."""
     if isinstance(left, Column):

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ...algebra import (And, Apply, ColumnRef, Comparison, Difference,
-                        GroupBy, InList, IsNull, Join, JoinKind, Like,
-                        Literal, LocalGroupBy, Max1row, Not, Or, Parameter,
-                        Project, RelationalOp, ScalarExpr, ScalarGroupBy,
-                        SegmentApply, Select, Sort, Top, UnionAll,
-                        conjunction, conjuncts, disjuncts)
+from ...algebra import (Apply, ColumnRef, Difference, GroupBy, Join,
+                        JoinKind, LocalGroupBy, Max1row, Or, Project,
+                        RelationalOp, ScalarExpr, ScalarGroupBy, SegmentApply,
+                        Select, Sort, Top, UnionAll, conjunction, conjuncts,
+                        disjuncts)
+from ...algebra.scalar import cannot_raise
 
 
 def push_selections(rel: RelationalOp) -> RelationalOp:
@@ -75,23 +75,11 @@ def implied_filter(part: ScalarExpr,
     branches = []
     for branch in disjuncts(part):
         local = [c for c in conjuncts(branch)
-                 if _subset(c, side) and _cannot_raise(c)]
+                 if _subset(c, side) and cannot_raise(c)]
         if not local:
             return None
         branches.append(conjunction(local))
     return Or(branches)
-
-
-def _cannot_raise(expr: ScalarExpr) -> bool:
-    """Comparisons, IN lists, IS [NOT] NULL and LIKE over column
-    references, literals and parameters, under AND/OR/NOT — unlike, say,
-    a division, which raises on a zero divisor."""
-    if isinstance(expr, (And, Or, Not)):
-        return all(_cannot_raise(arg) for arg in expr.children)
-    if isinstance(expr, (Comparison, InList, IsNull, Like)):
-        return all(isinstance(arg, (ColumnRef, Literal, Parameter))
-                   for arg in expr.children)
-    return False
 
 
 def _attach(rel: RelationalOp, pending: list[ScalarExpr]) -> RelationalOp:

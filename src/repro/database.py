@@ -39,7 +39,6 @@ from .errors import (BindError, CatalogError, DurabilityError,
                      OptimizerBudgetExceeded, PlanError, ReproError)
 from .executor import NaiveInterpreter
 from .executor.physical import PhysicalExecutor
-from .executor.vector_expressions import split_conjuncts
 from .executor.vectorized import DEFAULT_BATCH_SIZE, VectorizedExecutor
 from .explain import ExplainOptions, explain_options, render
 from .feedback import DEFAULT_Q_ERROR_THRESHOLD, FeedbackLoop
@@ -862,7 +861,7 @@ class Database:
         except ReproError:
             return 0.0
         layout = {c.cid: i for i, c in enumerate(scan_columns)}
-        prunes = compile_zone_filters(split_conjuncts(predicate), layout,
+        prunes = compile_zone_filters(predicate, layout,
                                       allow_params=False)
         if not prunes:
             return 0.0

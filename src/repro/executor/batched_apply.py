@@ -45,6 +45,13 @@ what the tuple engine would have recorded — a de-duplicated binding
 counts once per outer row sharing it (:attr:`Bindings.weights`).  The one
 documented exception is below a per-ordinal ``PTop``, whose child is
 counted as drained, like everywhere else in the vectorized engine.
+
+Errors are not handled here.  An inner run evaluates every binding of
+its outer batch and every inner row of a semi probe, which is more than
+a row-at-a-time run reaches, so it may raise (a division by zero,
+``Max1row``'s violation) where the tuple engine would not.  The
+statement then re-runs on the tuple engine
+(:meth:`~.vectorized.VectorizedExecutor.run_prepared`), which decides.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from ..algebra.relational import JoinKind
-from ..algebra.scalar import Comparison, ScalarExpr
+from ..algebra.scalar import Comparison, ScalarExpr, conjuncts
 from ..errors import ExecutionError, SubqueryReturnedMultipleRows
 from ..physical.plan import (PFilter, PHashAggregate, PIndexSeek, PMax1row,
                              PNLApply, PProject, PScalarAggregate, PSort,
@@ -65,10 +72,10 @@ from ..physical.plan import (PFilter, PHashAggregate, PIndexSeek, PMax1row,
 from ..storage.table import Storage, StoredTable
 from .naive import _SortValue
 from .physical import ExecutionContext
-from .vector_expressions import (CompiledVector, compile_vector,
-                                 split_conjuncts)
-from .vectorized import (Batch, _aggregate_specs, hash_aggregate_batches,
-                         match_rows, stream_aggregate_batches, take_batch)
+from .vector_expressions import CompiledVector, compile_vector
+from .vectorized import (Batch, _aggregate_specs, compile_predicate,
+                         filter_batch, hash_aggregate_batches, match_rows,
+                         stream_aggregate_batches, take_batch)
 
 
 class Bindings:
@@ -159,16 +166,6 @@ def _probe_batch(bind: Bindings) -> Batch:
     return Batch([list(range(bind.count))], bind.count)
 
 
-def _filter(batch: Batch, conjuncts: list[CompiledVector], params) -> Batch:
-    for conjunct in conjuncts:
-        if not batch.nrows:
-            break
-        mask = conjunct(batch, params)
-        batch = take_batch(batch,
-                           [i for i, v in enumerate(mask) if v is True])
-    return batch
-
-
 def _fetch(table: StoredTable, hits: Sequence[Sequence[int]],
            ncols: int) -> Batch:
     """Gather the stored rows at ``hits[ordinal]`` column-wise behind
@@ -233,8 +230,8 @@ class _InnerCompiler:
                 f"no index on {plan.table_name}({', '.join(names)})")
         fn_for = {table.definition.column_index(c.name): self._vector(e, {})
                   for c, e in zip(plan.key_columns, plan.key_exprs)}
-        residual = ([self._vector(c, _led_layout(plan.columns))
-                     for c in split_conjuncts(plan.residual)]
+        residual = (compile_predicate(conjuncts(plan.residual),
+                                      _led_layout(plan.columns), self.bound)
                     if plan.residual is not None else [])
         ncols = len(plan.columns)
         # Per-version memo, as in the per-row seeks.
@@ -260,7 +257,7 @@ class _InnerCompiler:
                 # every fetched row, before the residual, like the loop
                 ctx.governor.consume_rows(
                     _logical_rows(fetched.columns[0], bind))
-            return _filter(fetched, residual, params)
+            return filter_batch(fetched, residual, params)
         return run
 
     def _prepare_PTableScan(self, plan: PTableScan) -> BatchedOp:
@@ -286,12 +283,11 @@ class _InnerCompiler:
         if isinstance(plan.child, PTableScan) and self.bound:
             return self._prepare_hash_scan(plan, plan.child)
         child = self.prepare(plan.child)
-        layout = _led_layout(plan.columns)
-        conjuncts = [self._vector(c, layout)
-                     for c in split_conjuncts(plan.predicate)]
+        predicate = compile_predicate(conjuncts(plan.predicate),
+                                      _led_layout(plan.columns), self.bound)
 
         def run(ctx: ExecutionContext, bind: Bindings) -> Batch:
-            return _filter(child(ctx, bind), conjuncts, ctx.params)
+            return filter_batch(child(ctx, bind), predicate, ctx.params)
         return run
 
     def _prepare_hash_scan(self, plan: PFilter,
@@ -304,7 +300,7 @@ class _InnerCompiler:
         scan_ids = {c.cid for c in scan.columns}
         pairs: list[tuple[ScalarExpr, ScalarExpr]] = []
         rest: list[ScalarExpr] = []
-        for conjunct in split_conjuncts(plan.predicate):
+        for conjunct in conjuncts(plan.predicate):
             pair = _scan_equality(conjunct, scan_ids)
             if pair is None:
                 rest.append(conjunct)
@@ -316,8 +312,8 @@ class _InnerCompiler:
         scan_layout = _led_layout(scan.columns, 0)
         scan_fns = [compile_vector(inner, scan_layout) for inner, _ in pairs]
         bind_fns = [self._vector(outer, {}) for _, outer in pairs]
-        layout = _led_layout(plan.columns)
-        conjuncts = [self._vector(c, layout) for c in rest]
+        predicate = compile_predicate(rest, _led_layout(plan.columns),
+                                      self.bound)
         ncols = len(plan.columns)
         scan_key = id(scan)
 
@@ -350,7 +346,8 @@ class _InnerCompiler:
                             for ordinal in found:
                                 hits[ordinal].append(base + i)
                     base += unit.nrows
-            return _filter(_fetch(table, hits, ncols), conjuncts, params)
+            return filter_batch(_fetch(table, hits, ncols), predicate,
+                                params)
         return run
 
     def _prepare_PProject(self, plan: PProject) -> BatchedOp:
@@ -473,9 +470,9 @@ class _InnerCompiler:
             batch = child(ctx, bind)
             ordinals = batch.columns[0]
             if len(set(ordinals)) != len(ordinals):
-                # Some binding saw a second row.  The enclosing Apply
-                # replays this batch per row, so the error surfaces at
-                # the outer row the tuple engine would raise it for.
+                # Some binding saw a second row.  Whether the tuple
+                # engine reaches it is for its re-run of the statement
+                # to decide (VectorizedExecutor.run_prepared).
                 raise SubqueryReturnedMultipleRows()
             return batch
         return run

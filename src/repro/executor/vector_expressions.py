@@ -17,11 +17,12 @@ Returned column lists must be treated as immutable — a compiled
 ``ColumnRef`` hands back the batch's own column list without copying, and
 combinators always allocate fresh output lists.
 
-Conditional evaluation (CASE) is preserved at batch granularity: branch
-values are evaluated only over the rows whose condition selected them
-(via gather/scatter), so a guarded division never runs on rows its guard
-excludes — the batched analogue of the paper's Section 2.4 conditional
-scalar execution.
+Conditional evaluation is preserved at batch granularity: CASE branch
+values are evaluated only over the rows whose condition selected them,
+and a later AND/OR argument only over the rows the earlier ones left
+undecided (via gather/scatter), so a guarded division never runs on rows
+its guard excludes — the batched analogue of the paper's Section 2.4
+conditional scalar execution.
 """
 
 from __future__ import annotations
@@ -123,32 +124,33 @@ def compile_vector(expr: ScalarExpr, layout: Layout,
             None if a is None or b is None else fn(a, b)
             for a, b in zip(left(batch, params), right(batch, params))]
 
-    if isinstance(expr, And):
-        compiled = [compile_vector(a, layout, bound) for a in expr.args]
+    if isinstance(expr, (And, Or)):
+        # The row engine's short circuit at batch granularity: a later
+        # argument is evaluated only on the rows still undecided (not yet
+        # FALSE for AND, not yet TRUE for OR, NULL included), so a guard
+        # such as ``x <> 0 and y / x > 1`` never divides by zero.
+        first = compile_vector(expr.args[0], layout, bound)
+        rest = [(compile_vector(a, layout, bound), _gatherer(a, layout, bound))
+                for a in expr.args[1:]]
+        combine, decided = ((sql_and, False) if isinstance(expr, And)
+                            else (sql_or, True))
 
-        def eval_and(batch: "Batch", params: Mapping[int, Any]) -> list:
-            acc = list(compiled[0](batch, params))
-            for fn in compiled[1:]:
-                # batch-level short-circuit: all rows already FALSE
-                if all(v is False for v in acc):
-                    return acc
-                acc = [sql_and(x, y)
-                       for x, y in zip(acc, fn(batch, params))]
+        def eval_logic(batch: "Batch", params: Mapping[int, Any]) -> list:
+            acc = first(batch, params)
+            for fn, take in rest:
+                undecided = [i for i, v in enumerate(acc) if v is not decided]
+                if not undecided:
+                    break
+                if len(undecided) == batch.nrows:
+                    acc = [combine(x, y)
+                           for x, y in zip(acc, fn(batch, params))]
+                    continue
+                acc = list(acc)  # ``first`` may return a batch column
+                for i, y in zip(undecided,
+                                fn(take(batch, undecided), params)):
+                    acc[i] = combine(acc[i], y)
             return acc
-        return eval_and
-
-    if isinstance(expr, Or):
-        compiled = [compile_vector(a, layout, bound) for a in expr.args]
-
-        def eval_or(batch: "Batch", params: Mapping[int, Any]) -> list:
-            acc = list(compiled[0](batch, params))
-            for fn in compiled[1:]:
-                if all(v is True for v in acc):
-                    return acc
-                acc = [sql_or(x, y)
-                       for x, y in zip(acc, fn(batch, params))]
-            return acc
-        return eval_or
+        return eval_logic
 
     if isinstance(expr, Not):
         inner = compile_vector(expr.arg, layout, bound)
@@ -188,31 +190,32 @@ def compile_vector(expr: ScalarExpr, layout: Layout,
 
     if isinstance(expr, Case):
         compiled_whens = [(compile_vector(c, layout, bound),
-                           compile_vector(v, layout, bound))
+                           _gatherer(c, layout, bound),
+                           compile_vector(v, layout, bound),
+                           _gatherer(v, layout, bound))
                           for c, v in expr.whens]
         otherwise = (compile_vector(expr.otherwise, layout, bound)
                      if expr.otherwise is not None else None)
+        take_otherwise = (_gatherer(expr.otherwise, layout, bound)
+                          if expr.otherwise is not None else None)
 
         def eval_case(batch: "Batch", params: Mapping[int, Any]) -> list:
-            from .vectorized import take_batch
-
             result: list = [None] * batch.nrows
             remaining = list(range(batch.nrows))
-            for cond, value in compiled_whens:
+            for cond, take_cond, value, take_value in compiled_whens:
                 if not remaining:
                     break
-                sub = take_batch(batch, remaining)
-                conds = cond(sub, params)
+                conds = cond(take_cond(batch, remaining), params)
                 chosen = [row for row, v in zip(remaining, conds)
                           if v is True]
                 if chosen:
-                    values = value(take_batch(batch, chosen), params)
+                    values = value(take_value(batch, chosen), params)
                     for row, v in zip(chosen, values):
                         result[row] = v
                 remaining = [row for row, v in zip(remaining, conds)
                              if v is not True]
             if otherwise is not None and remaining:
-                values = otherwise(take_batch(batch, remaining), params)
+                values = otherwise(take_otherwise(batch, remaining), params)
                 for row, v in zip(remaining, values):
                     result[row] = v
             return result
@@ -267,17 +270,21 @@ def compile_vector(expr: ScalarExpr, layout: Layout,
         f"physical plans must be normalized (no embedded subqueries)")
 
 
-def split_conjuncts(expr: ScalarExpr) -> list[ScalarExpr]:
-    """Flatten nested ANDs into a conjunct list.
-
-    Filtering keeps only rows where the whole predicate is TRUE, and an
-    AND is TRUE exactly when every conjunct is TRUE — so a filter may
-    apply conjuncts one at a time, compacting the batch between them
-    (predicate short-circuiting at batch granularity).
+def _gatherer(expr: ScalarExpr, layout: Layout, bound: AbstractSet[int]
+              ) -> Callable[["Batch", list[int]], "Batch"]:
+    """``take(batch, rows)``: the rows of ``batch`` at the increasing
+    positions ``rows``, gathering only the columns ``expr`` reads.  The
+    other columns are left empty: the compiled ``expr`` never reads them.
     """
-    if isinstance(expr, And):
-        out: list[ScalarExpr] = []
-        for arg in expr.args:
-            out.extend(split_conjuncts(arg))
-        return out
-    return [expr]
+    ids = expr.free_columns().ids()
+    needed = {layout[cid] for cid in ids if cid in layout}
+    if any(cid in bound for cid in ids if cid not in layout):
+        needed.add(0)  # a bound reference gathers through the ordinal
+
+    def take(batch: "Batch", rows: list[int]) -> "Batch":
+        if len(rows) == batch.nrows:
+            return batch
+        return type(batch)([[col[i] for i in rows] if p in needed else []
+                            for p, col in enumerate(batch.columns)],
+                           len(rows))
+    return take

@@ -44,7 +44,8 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .. import faultinject
 from ..algebra.scalar import (Comparison, ColumnRef, IsNull, Literal,
-                              Parameter, ScalarExpr, parameter_slot)
+                              Parameter, ScalarExpr, cannot_raise,
+                              conjuncts, parameter_slot)
 
 #: Rows per sealed chunk.  4096 keeps whole-chunk decode well above the
 #: vectorized batch size while bounding the re-encode cost of a seal.
@@ -593,13 +594,22 @@ def compile_zone_filter(conjunct: ScalarExpr, layout: Mapping[int, int],
     return prune
 
 
-def compile_zone_filters(conjuncts: Sequence[ScalarExpr],
+def compile_zone_filters(predicate: ScalarExpr,
                          layout: Mapping[int, int],
                          allow_params: bool = True) -> list[ZoneFilter]:
-    """Every prunable conjunct compiled; non-prunable ones are dropped
-    (dropping is always safe — skipping stays conservative)."""
+    """Every prunable conjunct of ``predicate`` compiled; non-prunable
+    ones are dropped (dropping is always safe — skipping stays
+    conservative).
+
+    Nothing prunes when some conjunct can raise: the row engine
+    evaluates each conjunct on every row no earlier conjunct made FALSE
+    (a NULL row goes on to the next), so a skipped chunk could hold the
+    row whose error the statement raises."""
+    parts = conjuncts(predicate)
+    if not all(cannot_raise(part) for part in parts):
+        return []
     out: list[ZoneFilter] = []
-    for conjunct in conjuncts:
+    for conjunct in parts:
         compiled = compile_zone_filter(conjunct, layout, allow_params)
         if compiled is not None:
             out.append(compiled)

@@ -6,7 +6,8 @@ emits — every Apply kind over every inner operator, nested Applies whose
 outer side is itself batched, uncorrelated and guarded Applies — and
 pins the engine-internal contracts: which shapes batch and which keep
 the per-row path, logical (de-duplicated) accounting in the profile and
-the governor, and the error-replay rule.
+the governor, and the error rule: a statement that raises on the
+vectorized engine re-runs on the tuple engine, counted once.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from repro.errors import (ExecutionError, ResourceExhausted,
                           SubqueryReturnedMultipleRows)
 from repro.executor import VectorizedExecutor
 from repro.executor.batched_apply import compile_batched_apply
-from repro.executor.physical import PhysicalExecutor
+from repro.executor.physical import ExecutionContext, PhysicalExecutor
 from repro.feedback import collect, tree_dict
 from repro.governor import ResourceGovernor
 from repro.physical.plan import (PFilter, PHashAggregate, PHashJoin,
@@ -386,6 +387,52 @@ class TestErrorReplay:
             governor = ResourceGovernor()
             run(VectorizedExecutor(storage, batch_size), plan, governor)
             assert governor.rows_examined == expected.rows_examined
+
+
+class TestRerunCountsOnce:
+    """A run that raises a data error re-runs on the tuple engine
+    (``VectorizedExecutor.run_prepared``) after its own charges and
+    counts are dropped: rows, ``rows_examined``, ``peak_rows_buffered``
+    and EXPLAIN ANALYZE actuals are the tuple engine's."""
+
+    def assert_counted_once(self, storage, plan):
+        vec = VectorizedExecutor(storage, 1024)
+        with pytest.raises((ArithmeticError, SubqueryReturnedMultipleRows)):
+            # the vectorized run alone raises: the re-run is under test
+            list(vec.prepare(plan).batches(ExecutionContext(None, storage)))
+        expected = ResourceGovernor()
+        expected_run = run(PhysicalExecutor(storage), plan, expected)
+        governor = ResourceGovernor()
+        assert run(vec, plan, governor) == expected_run
+        assert governor.rows_examined == expected.rows_examined
+        assert governor.peak_rows_buffered == expected.peak_rows_buffered
+        assert governor.rows_buffered == 0
+
+    def test_semi_probe_over_max1row(self):
+        p = Plans()
+        self.assert_counted_once(make_storage(), PNLApply(
+            JoinKind.LEFT_SEMI, p.outer, PMax1row(p.seek()[0])))
+
+    def test_apply_predicate_past_a_limit(self):
+        # The batched run materializes (and charges) its first slice's
+        # inner rows before the predicate divides by zero; the per-row
+        # loop buffers nothing and stops at the first match.
+        p = Plans()
+        seek, cols = p.seek()
+        divisor = Arithmetic("-", ColumnRef(cols[2]), Literal(10))
+        predicate = Comparison(">=", Arithmetic("/", ColumnRef(p.tid),
+                                                divisor), Literal(0))
+        self.assert_counted_once(make_storage(), PTop(PNLApply(
+            JoinKind.INNER, p.outer, seek, predicate=predicate), 1))
+
+    def test_division_past_a_limit_above_a_join(self):
+        from tests.test_differential import ALL_MODES, build_db
+        db = build_db([(1, 0, 5), (2, 1, 4), (0, 2, 3), (1, 0, 1)],
+                      [(1, 1), (2, 0), (0, 2)])
+        sql = ("select t.id, s.amt from t join s on s.ref = t.grp"
+               " where t.tag / s.amt > 0 limit 1")
+        for mode in ALL_MODES:
+            self.assert_counted_once(db.storage, db.prepare(sql, mode).plan)
 
 
 class TestLogicalAccounting:

@@ -203,3 +203,49 @@ def test_one_compile_pipeline_and_one_ddl_applier():
                     "create_matview", "drop_table", "drop_view",
                     "drop_matview"):
         assert package.count(f"catalog.{mutator}(") == 1, mutator
+
+
+#: What a handler must name to catch a SQL data error, or everything.
+_CATCH_ALL = {"Exception", "BaseException"}
+_DATA_ERRORS = {"ArithmeticError", "ZeroDivisionError", "OverflowError",
+                "ExecutionError", "SubqueryReturnedMultipleRows"} | _CATCH_ALL
+
+
+def _handlers(tree):
+    """``(enclosing function, caught names)`` of every except clause; a
+    bare ``except:`` catches everything."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler):
+            kinds = node.type
+            if kinds is None:
+                names = {"BaseException"}
+            else:
+                names = {part.id if isinstance(part, ast.Name) else part.attr
+                         for part in (kinds.elts
+                                      if isinstance(kinds, ast.Tuple)
+                                      else [kinds])}
+            found.append((function, names))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(tree, None)
+    return found
+
+
+def test_one_error_rule_in_the_executors():
+    """The vectorized engine's per-operator error replays stay removed:
+    under ``executor/`` one handler catches SQL data errors, the
+    statement-level re-run on the tuple engine in ``run_prepared``, and
+    no handler catches every exception."""
+    catching = []
+    for path in sorted((PACKAGE_DIR / "executor").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function, names in _handlers(tree):
+            assert not names & _CATCH_ALL, (path.name, function, names)
+            if names & _DATA_ERRORS:
+                catching.append((path.name, function, names))
+    assert catching == [("vectorized.py", "run_prepared",
+                         {"ArithmeticError", "ExecutionError"})]

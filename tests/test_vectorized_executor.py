@@ -9,8 +9,11 @@ decisions that the oracle can only observe indirectly.
 import pytest
 
 from repro import Database, DataType, ExecutionError, ResourceExhausted
+from repro.algebra import (And, Arithmetic, Column, ColumnRef, Comparison,
+                           Literal, Or)
 from repro.errors import SubqueryReturnedMultipleRows
 from repro.executor import Batch, VectorizedExecutor
+from repro.executor.vector_expressions import compile_vector
 from repro.executor.vectorized import (batch_rows, columns_to_batches,
                                        rows_to_batches, take_batch)
 
@@ -98,6 +101,28 @@ class TestEngineContracts:
         sql = "select b, count(*) from t group by b"
         assert db.execute(sql, engine="vectorized").rows == \
             db.execute(sql, engine="tuple").rows
+
+    def test_and_or_evaluate_later_arguments_only_where_undecided(self):
+        # The row engine's short circuit: an AND stops at FALSE, an OR at
+        # TRUE, and a NULL goes on to the next argument.
+        x, y = Column("x", DataType.INTEGER), Column("y", DataType.INTEGER)
+        layout = {x.cid: 0, y.cid: 1}
+        batch = Batch([[0, 2, None, 4], [5, 6, 7, 2]], 4)
+        ratio = Comparison(">", Arithmetic("/", ColumnRef(y), ColumnRef(x)),
+                           Literal(1))
+        guarded = compile_vector(And([
+            Comparison("<>", ColumnRef(x), Literal(0)), ratio]), layout)
+        assert guarded(batch, {}) == [False, True, None, False]
+        guarded = compile_vector(Or([
+            Comparison("=", ColumnRef(x), Literal(0)), ratio]), layout)
+        assert guarded(batch, {}) == [True, True, None, False]
+        by_zero = Comparison(">", Arithmetic("/", ColumnRef(y), Literal(0)),
+                             Literal(1))
+        unguarded = compile_vector(And([
+            Comparison(">", ColumnRef(x), Literal(0)), by_zero]), layout)
+        assert unguarded(Batch([[0, -1], [5, 6]], 2), {}) == [False, False]
+        with pytest.raises(ZeroDivisionError):  # NULL is undecided
+            unguarded(Batch([[0, None], [5, 6]], 2), {})
 
     def test_max1row_violation_raises(self):
         db = make_db()
