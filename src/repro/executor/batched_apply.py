@@ -73,8 +73,9 @@ from ..storage.table import Storage, StoredTable
 from .naive import _SortValue
 from .physical import ExecutionContext
 from .vector_expressions import CompiledVector, compile_vector
-from .vectorized import (Batch, _aggregate_specs, compile_predicate,
-                         filter_batch, hash_aggregate_batches, match_rows,
+from .vectorized import (Batch, _aggregate_specs, _GroupStates,
+                         compile_predicate, filter_batch,
+                         hash_aggregate_batches, match_rows,
                          stream_aggregate_batches, take_batch)
 
 
@@ -373,21 +374,14 @@ class _InnerCompiler:
             batch = child(ctx, bind)
             params = ctx.params
             count = bind.count
-            starts = _starts(batch.columns[0], count)
-            valcols = [fn(batch, params) for fn in arg_fns]
             # Exactly one row per binding, the empty group included
             # (count = 0, every other aggregate NULL).
-            out: list[list] = [list(range(count))]
-            for reduce_fn, arg_index in specs:
-                if arg_index is None:
-                    out.append([reduce_fn(None, starts[o + 1] - starts[o])
-                                for o in range(count)])
-                else:
-                    values = valcols[arg_index]
-                    out.append([reduce_fn(values[starts[o]:starts[o + 1]],
-                                          starts[o + 1] - starts[o])
-                                for o in range(count)])
-            return Batch(out, count)
+            states = _GroupStates(specs, count)
+            if batch.nrows:
+                ordinals = batch.columns[0]
+                states.fold([fn(batch, params) for fn in arg_fns], ordinals,
+                            list(dict.fromkeys(ordinals)), batch.nrows)
+            return Batch([list(range(count))] + states.finals(), count)
         return run
 
     def _prepare_PHashAggregate(self, plan: PHashAggregate) -> BatchedOp:

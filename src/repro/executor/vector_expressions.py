@@ -13,6 +13,16 @@ same values.  The speed comes from the evaluation shape: one Python-level
 loop (a list comprehension or a C-level ``map``) per operator per batch
 instead of a closure-call tree per row.
 
+NULL-free batches take a C-level kernel, chosen per batch: ``+ - *``
+over numeric operand types runs ``list(map(operator.add, ...))`` (sub,
+mul) and ``< <= > >=`` run their ``operator`` function the same way,
+which is what the row helpers reduce to when no operand is NULL.  Each
+kernel raises ``TypeError`` on a NULL operand, so the NULL test costs
+nothing; that batch then takes the per-row path.  ``/``, ``=``/``<>``
+(which answer a NULL instead of raising), Interval and date arithmetic,
+and operands typed UNKNOWN (query parameters) always take the per-row
+path.
+
 Returned column lists must be treated as immutable — a compiled
 ``ColumnRef`` hands back the batch's own column list without copying, and
 combinators always allocate fresh output lists.
@@ -28,7 +38,9 @@ conditional scalar execution.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Mapping
+from itertools import repeat
+from typing import (TYPE_CHECKING, AbstractSet, Any, Callable, Mapping,
+                    Optional, Sequence)
 
 from ..algebra.datatypes import ARITHMETIC_FUNCTIONS, sql_and, sql_not, sql_or
 from ..algebra.scalar import (AggregateCall, And, Arithmetic, Case,
@@ -43,6 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Layout = Mapping[int, int]
 CompiledVector = Callable[["Batch", Mapping[int, Any]], list]
+
+#: ``sql_add``/``sql_sub``/``sql_mul`` over numeric operands with no NULL.
+_KERNELS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+#: Comparisons that raise ``TypeError`` on a NULL (``=``/``<>`` answer it).
+_ORDERING = frozenset({"<", "<=", ">", ">="})
 
 _COMPARE_FUNCTIONS = {
     "=": operator.eq,
@@ -101,28 +118,12 @@ def compile_vector(expr: ScalarExpr, layout: Layout,
 
     if isinstance(expr, Comparison):
         fn = _COMPARE_FUNCTIONS[expr.op]
-        # Literal operands are common (filter constants) and hoistable.
-        if isinstance(expr.right, Literal):
-            rv = expr.right.value
-            left = compile_vector(expr.left, layout, bound)
-            if rv is None:
-                return lambda batch, params: [None] * batch.nrows
-            return lambda batch, params: [
-                None if a is None else fn(a, rv)
-                for a in left(batch, params)]
-        if isinstance(expr.left, Literal):
-            lv = expr.left.value
-            right = compile_vector(expr.right, layout, bound)
-            if lv is None:
-                return lambda batch, params: [None] * batch.nrows
-            return lambda batch, params: [
-                None if b is None else fn(lv, b)
-                for b in right(batch, params)]
-        left = compile_vector(expr.left, layout, bound)
-        right = compile_vector(expr.right, layout, bound)
-        return lambda batch, params: [
-            None if a is None or b is None else fn(a, b)
-            for a, b in zip(left(batch, params), right(batch, params))]
+        if any(isinstance(e, Literal) and e.value is None
+               for e in (expr.left, expr.right)):
+            return lambda batch, params: [None] * batch.nrows
+        return _binary(expr, layout, bound, lambda a, b: [
+            None if x is None or y is None else fn(x, y)
+            for x, y in zip(a, b)], fn if expr.op in _ORDERING else None)
 
     if isinstance(expr, (And, Or)):
         # The row engine's short circuit at batch granularity: a later
@@ -167,21 +168,9 @@ def compile_vector(expr: ScalarExpr, layout: Layout,
 
     if isinstance(expr, Arithmetic):
         fn = ARITHMETIC_FUNCTIONS[expr.op]
-        if isinstance(expr.right, Literal) and expr.right.value is not None:
-            rv = expr.right.value
-            left = compile_vector(expr.left, layout, bound)
-            return lambda batch, params: [fn(a, rv)
-                                          for a in left(batch, params)]
-        if isinstance(expr.left, Literal) and expr.left.value is not None:
-            lv = expr.left.value
-            right = compile_vector(expr.right, layout, bound)
-            return lambda batch, params: [fn(lv, b)
-                                          for b in right(batch, params)]
-        left = compile_vector(expr.left, layout, bound)
-        right = compile_vector(expr.right, layout, bound)
-        return lambda batch, params: [
-            fn(a, b)
-            for a, b in zip(left(batch, params), right(batch, params))]
+        numeric = expr.left.dtype.is_numeric and expr.right.dtype.is_numeric
+        return _binary(expr, layout, bound, lambda a, b: list(map(fn, a, b)),
+                       _KERNELS.get(expr.op) if numeric else None)
 
     if isinstance(expr, Negate):
         inner = compile_vector(expr.arg, layout, bound)
@@ -270,6 +259,34 @@ def compile_vector(expr: ScalarExpr, layout: Layout,
         f"physical plans must be normalized (no embedded subqueries)")
 
 
+def _binary(expr: Comparison | Arithmetic, layout: Layout,
+            bound: AbstractSet[int], general: Callable[[Any, Any], list],
+            kernel: Optional[Callable[[Any, Any], Any]]) -> CompiledVector:
+    """``list(map(kernel, a, b))`` over the operands' values, or
+    ``general(a, b)`` where the kernel raises ``TypeError`` (a NULL, or
+    a genuine type error that ``general`` raises again).  A non-NULL
+    literal operand is an endless ``repeat``, not a per-batch list."""
+    left = compile_vector(expr.left, layout, bound)
+    right = compile_vector(expr.right, layout, bound)
+    if isinstance(expr.right, Literal) and expr.right.value is not None:
+        value = expr.right.value
+        right = lambda batch, params: repeat(value)  # noqa: E731
+    elif isinstance(expr.left, Literal) and expr.left.value is not None:
+        value = expr.left.value
+        left = lambda batch, params: repeat(value)  # noqa: E731
+
+    def combine(batch: "Batch", params: Mapping[int, Any]) -> list:
+        a = left(batch, params)
+        b = right(batch, params)
+        if kernel is not None:
+            try:
+                return list(map(kernel, a, b))
+            except TypeError:
+                pass  # a NULL operand
+        return general(a, b)
+    return combine
+
+
 def _gatherer(expr: ScalarExpr, layout: Layout, bound: AbstractSet[int]
               ) -> Callable[["Batch", list[int]], "Batch"]:
     """``take(batch, rows)``: the rows of ``batch`` at the increasing
@@ -281,10 +298,18 @@ def _gatherer(expr: ScalarExpr, layout: Layout, bound: AbstractSet[int]
     if any(cid in bound for cid in ids if cid not in layout):
         needed.add(0)  # a bound reference gathers through the ordinal
 
-    def take(batch: "Batch", rows: list[int]) -> "Batch":
+    def take(batch: "Batch", rows: Sequence[int]) -> "Batch":
         if len(rows) == batch.nrows:
             return batch
-        return type(batch)([[col[i] for i in rows] if p in needed else []
+        return type(batch)([gather(col, rows) if p in needed else []
                             for p, col in enumerate(batch.columns)],
                            len(rows))
     return take
+
+
+def gather(column: list, rows: Sequence[int]) -> list:
+    """``column`` at the increasing positions ``rows``; a ``range`` is
+    sliced."""
+    if isinstance(rows, range):
+        return column[rows.start:rows.stop]
+    return [column[i] for i in rows]

@@ -4,10 +4,11 @@ The third execution engine: instead of pulling one tuple at a time
 (:mod:`.physical`), operators exchange :class:`Batch` objects — a list of
 column value lists plus an explicit row count — of at most ``batch_size``
 rows (default 1024).  Scans slice column chunks straight off storage,
-filters compact batches conjunct-by-conjunct (predicate short-circuiting
-at batch granularity), hash join and hash aggregation build on column
-arrays, and ``SegmentApply`` binds whole column segments (the paper's
-Section 3.4 segmented execution, batched).
+filters narrow a selection vector conjunct by conjunct and gather the
+survivors once, hash join builds on column arrays, aggregation folds
+each group's values left to right into running states, and
+``SegmentApply`` binds whole column segments (the paper's Section 3.4
+segmented execution, batched).
 
 Correctness contract: results are *identical*, row for row, to the tuple
 executor — same values (shared scalar semantics via
@@ -43,7 +44,8 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
+from itertools import accumulate, compress, repeat
 from typing import (AbstractSet, Any, Callable, Iterable, Iterator, Optional,
                     Sequence)
 
@@ -67,7 +69,8 @@ from .expressions import build_layout, compile_expr
 from .naive import _SortValue
 from .physical import (ExecutionContext, PhysicalExecutor, _loop_join_row,
                        _TopNEntry, compile_apply_loop)
-from .vector_expressions import CompiledVector, compile_vector
+from .vector_expressions import (CompiledVector, _gatherer,
+                                 compile_vector, gather)
 
 DEFAULT_BATCH_SIZE = 1024
 
@@ -96,13 +99,13 @@ class Batch:
         return f"Batch({len(self.columns)} cols x {self.nrows} rows)"
 
 
-def take_batch(batch: Batch, indexes: list[int]) -> Batch:
+def take_batch(batch: Batch, indexes: Sequence[int]) -> Batch:
     """Select rows by position.  ``indexes`` must be strictly increasing
     (a filter mask), so a full-length selection is the identity and the
-    input batch is returned unchanged."""
+    input batch is returned unchanged; a ``range`` is sliced."""
     if len(indexes) == batch.nrows:
         return batch
-    return Batch([[col[i] for i in indexes] for col in batch.columns],
+    return Batch([gather(col, indexes) for col in batch.columns],
                  len(indexes))
 
 
@@ -232,46 +235,63 @@ def match_rows(kind: JoinKind, buckets: Sequence[Sequence[int]], lb: Batch,
     return li, ri
 
 
-def filter_batch(batch: Batch, predicate: list[tuple[CompiledVector, bool]],
-                 params) -> Batch:
+def filter_batch(batch: Batch, predicate: list[tuple[CompiledVector,
+                                                    Callable, bool]],
+                 params, selected: Optional[Sequence[int]] = None) -> Batch:
     """The rows of ``batch`` on which every conjunct of ``predicate``
-    (from :func:`compile_predicate`) is TRUE, one conjunct at a time with
-    the batch compacted in between — the one batch-predicate loop of the
-    plain filter, the fused scan, the index-seek residual and the
-    batched Apply.
+    (from :func:`compile_predicate`) is TRUE — the one batch-predicate
+    loop of the plain filter, the fused scan, the index-seek residual
+    and the batched Apply.
+
+    Conjuncts run one at a time over a selection vector, the positions
+    of the rows still in (``selected`` starts it, ``None`` for all rows;
+    the fused scan passes a ``range`` of a storage chunk): each conjunct
+    gathers only the columns it reads, and the survivors' columns are
+    gathered once, at the end.
 
     Like the row engine's AND, a later conjunct that can raise sees
     every row no earlier conjunct made FALSE, NULL rows included, so it
     raises wherever the row engine would (and maybe on more rows, which
     the re-run in :meth:`VectorizedExecutor.run_prepared` settles)."""
-    unknown: Optional[list[bool]] = None  # per row: NULL so far
-    for conjunct, carry in predicate:
-        if not batch.nrows:
-            break
-        mask = conjunct(batch, params)
+    unknown: Optional[list[bool]] = None  # per selected row: NULL so far
+    for conjunct, take, carry in predicate:
+        if selected is None:
+            if not batch.nrows:
+                break
+            mask = conjunct(batch, params)
+            positions: Sequence[int] = range(batch.nrows)
+        else:
+            if not selected:
+                break
+            mask = conjunct(take(batch, selected), params)
+            positions = selected
         if unknown is not None:
             mask = [None if u and v is True else v
                     for u, v in zip(unknown, mask)]
             unknown = None
         if carry and None in mask:
-            keep = [i for i, v in enumerate(mask) if v is not False]
-            unknown = [mask[i] is None for i in keep]
+            unknown = [v is None for v in mask if v is not False]
+            kept = list(compress(positions, map(operator.is_not, mask,
+                                                repeat(False))))
         else:
-            keep = [i for i, v in enumerate(mask) if v is True]
-        batch = take_batch(batch, keep)
-    return batch
+            kept = list(compress(positions, map(operator.is_, mask,
+                                                repeat(True))))
+        # All kept: keep ``positions``, which a range may be sliced by.
+        selected = positions if len(kept) == len(positions) else kept
+    return batch if selected is None else take_batch(batch, selected)
 
 
 def compile_predicate(parts: Sequence[ScalarExpr], layout,
                       bound: AbstractSet[int] = frozenset()
-                      ) -> list[tuple[CompiledVector, bool]]:
+                      ) -> list[tuple[CompiledVector, Callable, bool]]:
     """The conjuncts ``parts`` compiled for :func:`filter_batch`, each
-    paired with whether a later one can raise (so that its NULL rows
-    must go on to it)."""
-    out: list[tuple[CompiledVector, bool]] = []
+    with a gatherer of the columns it reads and whether a later one can
+    raise (so that its NULL rows must go on to it)."""
+    out: list[tuple[CompiledVector, Callable, bool]] = []
     raising = False
     for part in reversed(parts):
-        out.append((compile_vector(part, layout, bound), raising))
+        out.append((compile_vector(part, layout, bound),
+                    _gatherer(part, layout, bound), raising))
         raising = raising or not cannot_raise(part)
     return out[::-1]
 
@@ -462,22 +482,21 @@ class VectorizedExecutor:
                             governor.consume_rows(total)
                         scanned += total
                         continue
-                    cols = unit.columns()
+                    chunk = Batch(unit.columns(), total)
                     for start in range(0, total, size):
-                        stop = min(start + size, total)
-                        if stop - start == total:
-                            # whole-chunk batch: share the decoded lists
-                            batch = Batch(cols, total)
-                        else:
-                            batch = Batch([col[start:stop] for col in cols],
-                                          stop - start)
+                        rows = range(start, min(start + size, total))
                         if governor is not None:
-                            governor.consume_rows(stop - start)
-                        scanned += stop - start
+                            governor.consume_rows(len(rows))
+                        scanned += len(rows)
                         if fused:
-                            batch = filter_batch(batch, compiled, params)
+                            # survivors are gathered from the chunk
+                            batch = filter_batch(chunk, compiled, params,
+                                                 rows)
                             if not batch.nrows:
                                 continue
+                        else:
+                            # a whole-chunk batch shares the decoded lists
+                            batch = take_batch(chunk, rows)
                         yield batch
             finally:
                 if profile is not None:
@@ -810,23 +829,15 @@ class VectorizedExecutor:
         child = self.prepare(plan.child)
         layout = build_layout(plan.child.columns)
         arg_fns, specs = _aggregate_specs(plan.aggregates, layout)
-        n_args = len(arg_fns)
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             params = ctx.params
-            count = 0
-            vals: list[list] = [[] for _ in range(n_args)]
+            states = _GroupStates(specs, 1)
             for batch in child.batches(ctx):
-                valcols = [fn(batch, params) for fn in arg_fns]
-                count += batch.nrows
-                for store, col in zip(vals, valcols):
-                    store.extend(col)
+                states.fold([fn(batch, params) for fn in arg_fns], None,
+                            (0,), batch.nrows)
             # Exactly one output row, even over empty input.
-            yield Batch(
-                [[reduce_fn(vals[arg_index]
-                            if arg_index is not None else None, count)]
-                 for reduce_fn, arg_index in specs],
-                1)
+            yield Batch(states.finals(), 1)
         return _VecExecutable(batches)
 
     # -- ordering and limits ----------------------------------------------------
@@ -1033,89 +1044,150 @@ class VectorizedExecutor:
         return _VecExecutable(batches)
 
 
-# -- grouped aggregation over a batch stream -----------------------------------------
+# -- aggregation: one fold over a batch stream --------------------------------------
 #
-# Module-level so the batched Apply (:mod:`.batched_apply`) can group by
-# its binding-ordinal column with the very same fold.
+# Module-level so the batched Apply (:mod:`.batched_apply`) folds its
+# per-binding groups with the very same code.
+
+#: A batch of at most this many groups, with this many rows per group on
+#: average, folds each group's rows as one list picked out by ``compress``;
+#: other batches fold row by row, cheaper than many short lists.
+_FEW_GROUPS, _GROUP_ROWS = 16, 32
+
+
+class _GroupStates:
+    """The running states of one aggregation: per aggregate call, one
+    state per group and, for a DISTINCT call, the set of values each
+    group has seen (NULL included, as in the tuple engine's fold)."""
+
+    __slots__ = ("specs", "states", "seen")
+
+    def __init__(self, specs, groups: int = 0) -> None:
+        self.specs = specs
+        self.states: list[list] = [[] for _ in specs]
+        self.seen: list[Optional[list[set]]] = [
+            [] if distinct else None for *_, distinct in specs]
+        self.add(groups)
+
+    def add(self, count: int) -> None:
+        """Open ``count`` new groups."""
+        for spec, states, seen in zip(self.specs, self.states, self.seen):
+            states.extend([spec[1]] * count)
+            if seen is not None:
+                seen.extend([set() for _ in range(count)])
+
+    def fold(self, valcols: list[list], row_gids: Optional[list[int]],
+             gids: Sequence[int], nrows: int) -> None:
+        """Fold one batch of ``nrows`` rows: row ``i`` belongs to group
+        ``row_gids[i]`` (``row_gids`` may be ``None`` when the batch is
+        one group) and ``gids`` are its distinct groups.  ``valcols``
+        are the argument columns, in ``arg_fns`` order; the folds see
+        only their non-NULL values, as ``step`` ignores NULLs."""
+        specs = list(zip(self.specs, self.states, self.seen))
+        nulls = [None in col for col in valcols]
+        if len(gids) > 1 and (len(gids) > _FEW_GROUPS
+                              or nrows < _GROUP_ROWS * len(gids)):
+            args = []
+            for col, has_null in zip(valcols, nulls):
+                if has_null:
+                    keep = list(map(operator.is_not, col, repeat(None)))
+                    args.append((list(compress(col, keep)),
+                                 list(compress(row_gids, keep))))
+                else:
+                    args.append((col, row_gids))
+            for (arg_index, _, _, fold_rows, _, _), states, seen in specs:
+                values, group_of = ((None, row_gids) if arg_index is None
+                                    else args[arg_index])
+                if seen is not None:
+                    keep = [not (v in seen[g] or seen[g].add(v))
+                            for g, v in zip(group_of, values)]
+                    values = list(compress(values, keep))
+                    group_of = list(compress(group_of, keep))
+                fold_rows(states, values, group_of)
+            return
+        for gid in gids:
+            cols, n = valcols, nrows
+            if len(gids) > 1:
+                mask = list(map(gid.__eq__, row_gids))
+                cols = [list(compress(col, mask)) for col in valcols]
+                n = mask.count(True)
+            cols = [[v for v in col if v is not None] if has_null else col
+                    for col, has_null in zip(cols, nulls)]
+            for (arg_index, _, fold, _, _, _), states, seen in specs:
+                values = None if arg_index is None else cols[arg_index]
+                if seen is not None:
+                    known = seen[gid]
+                    add = known.add
+                    values = [v for v in values
+                              if not (v in known or add(v))]
+                states[gid] = fold(states[gid], values, n)
+
+    def finals(self) -> list[list]:
+        """One output column per aggregate call, over every group."""
+        return [states if spec[4] is None else list(map(spec[4], states))
+                for spec, states in zip(self.specs, self.states)]
+
+
+def _group_keys(batch: Batch, group_positions: list[int]) -> list:
+    """Each row's group key: the value itself for one group column, a
+    tuple otherwise."""
+    if len(group_positions) == 1:
+        return batch.columns[group_positions[0]]
+    return list(_key_iter(batch, group_positions))
+
+
+def _key_columns(keys_list: list, group_positions: list[int]) -> list[list]:
+    """The group key output columns of :func:`_group_keys`' keys."""
+    if len(group_positions) == 1:
+        return [keys_list]
+    return [list(c) for c in zip(*keys_list)] if group_positions else []
+
 
 def hash_aggregate_batches(ctx: ExecutionContext, source: Iterable[Batch],
                            group_positions: list[int], arg_fns, specs,
                            size: int) -> Iterator[Batch]:
     """Hash-group ``source`` on ``group_positions`` and fold the
-    aggregates; groups come out in first-appearance order."""
+    aggregates; groups come out in first-appearance order.
+
+    Each row's key is hashed once, into the batch's own key dictionary;
+    only the batch's distinct keys are looked up among all groups, and
+    new groups are numbered in the order their keys first appear."""
     params = ctx.params
     governor = ctx.governor
-    n_args = len(arg_fns)
-    groups: dict[tuple, int] = {}
-    keys_list: list[tuple] = []
-    counts: list[int] = []
-    stores: list[list[list]] = [[] for _ in range(n_args)]
+    groups: dict = {}
+    keys_list: list = []
+    states = _GroupStates(specs)
     get_gid = groups.get
     held = 0
     try:
         for batch in source:
-            valcols = [fn(batch, params) for fn in arg_fns]
-            keys = _key_iter(batch, group_positions)
+            local: dict = {}  # key -> its index among the batch's keys
+            row_local = [local.setdefault(key, len(local))
+                         for key in _group_keys(batch, group_positions)]
+            distinct = list(local)
+            gids = list(map(get_gid, distinct))
             fresh = 0
-            if n_args == 1:
-                store0 = stores[0]
-                col0 = valcols[0]
-                for i, key in enumerate(keys):
-                    gid = get_gid(key)
-                    if gid is None:
-                        gid = len(keys_list)
-                        groups[key] = gid
-                        keys_list.append(key)
-                        counts.append(0)
-                        store0.append([])
-                        fresh += 1
-                    counts[gid] += 1
-                    store0[gid].append(col0[i])
-            elif n_args == 0:
-                for key in keys:
-                    gid = get_gid(key)
-                    if gid is None:
-                        gid = len(keys_list)
-                        groups[key] = gid
-                        keys_list.append(key)
-                        counts.append(0)
-                        fresh += 1
-                    counts[gid] += 1
-            else:
-                for i, key in enumerate(keys):
-                    gid = get_gid(key)
-                    if gid is None:
-                        gid = len(keys_list)
-                        groups[key] = gid
-                        keys_list.append(key)
-                        counts.append(0)
-                        for store in stores:
-                            store.append([])
-                        fresh += 1
-                    counts[gid] += 1
-                    for store, col in zip(stores, valcols):
-                        store[gid].append(col[i])
+            if None in gids:
+                for i in compress(range(len(gids)),
+                                  map(operator.is_, gids, repeat(None))):
+                    gids[i] = groups[distinct[i]] = len(keys_list)
+                    keys_list.append(distinct[i])
+                    fresh += 1
+                states.add(fresh)
+            states.fold([fn(batch, params) for fn in arg_fns],
+                        list(map(gids.__getitem__, row_local))
+                        if len(gids) > 1 else None,
+                        gids, batch.nrows)
             # Memory scales with distinct groups, not input rows:
             # charge per new group, batched.
             if governor is not None and fresh:
                 governor.hold_rows(fresh)
                 held += fresh
-        n_groups = len(keys_list)
-        if n_groups == 0:
+        if not keys_list:
             return
-        if group_positions:
-            out_cols = [list(c) for c in zip(*keys_list)]
-        else:
-            out_cols = []
-        for reduce_fn, arg_index in specs:
-            if arg_index is None:
-                out_cols.append([reduce_fn(None, counts[g])
-                                 for g in range(n_groups)])
-            else:
-                store = stores[arg_index]
-                out_cols.append([reduce_fn(store[g], counts[g])
-                                 for g in range(n_groups)])
-        yield from columns_to_batches(out_cols, n_groups, size)
+        yield from columns_to_batches(
+            _key_columns(keys_list, group_positions) + states.finals(),
+            len(keys_list), size)
     finally:
         if governor is not None:
             governor.release_rows(held)
@@ -1127,144 +1199,133 @@ def stream_aggregate_batches(ctx: ExecutionContext, source: Iterable[Batch],
     """Fold aggregates over ``source`` sorted on ``group_positions``: a
     group closes when the key changes."""
     params = ctx.params
-    n_args = len(arg_fns)
-    out_cols: list[list] = [[] for _ in range(len(group_positions)
-                                              + len(specs))]
-    emitted = 0
-    unset = object()
-    current_key: Any = unset
-    count = 0
-    vals: list[list] = [[] for _ in range(n_args)]
-
-    def finalize() -> None:
-        nonlocal emitted
-        position = 0
-        for part in current_key:
-            out_cols[position].append(part)
-            position += 1
-        for reduce_fn, arg_index in specs:
-            value = reduce_fn(
-                vals[arg_index] if arg_index is not None else None,
-                count)
-            out_cols[position].append(value)
-            position += 1
-        emitted += 1
-
+    keys_list: list = []
+    states = _GroupStates(specs)
     for batch in source:
-        valcols = [fn(batch, params) for fn in arg_fns]
-        for i, key in enumerate(_key_iter(batch, group_positions)):
-            if key != current_key:
-                if current_key is not unset:
-                    finalize()
-                current_key = key
-                count = 0
-                vals = [[] for _ in range(n_args)]
-            count += 1
-            for store, col in zip(vals, valcols):
-                store.append(col[i])
-    if current_key is not unset:
-        finalize()
-    yield from columns_to_batches(out_cols, emitted, size)
+        keys = _group_keys(batch, group_positions)
+        changed = list(map(operator.ne, keys[1:], keys))
+        opened = len(keys_list)
+        if not keys_list or keys[0] != keys_list[-1]:
+            keys_list.append(keys[0])
+        first = len(keys_list) - 1  # the group of the batch's first row
+        keys_list.extend(map(keys.__getitem__,
+                             compress(range(1, batch.nrows), changed)))
+        states.add(len(keys_list) - opened)
+        gids = range(first, len(keys_list))
+        states.fold([fn(batch, params) for fn in arg_fns],
+                    list(accumulate(changed, initial=first))
+                    if len(gids) > 1 else None, gids, batch.nrows)
+    if keys_list:
+        yield from columns_to_batches(
+            _key_columns(keys_list, group_positions) + states.finals(),
+            len(keys_list), size)
 
 
-# -- batched aggregate reduction ------------------------------------------------
+# -- aggregate calls ------------------------------------------------------------------
 
 def _aggregate_specs(aggregates: Sequence[tuple[Column, AggregateCall]],
                      layout, bound: AbstractSet[int] = frozenset()):
-    """Compile aggregate argument expressions and per-call reducers.
+    """Compile aggregate argument expressions and per-call folds.
 
     Returns ``(arg_fns, specs)``: ``arg_fns`` are the batch-compiled
-    argument expressions (one per aggregate *with* an argument) and each
-    spec is ``(reduce_fn, arg_index)`` where ``reduce_fn(values, count)``
-    folds one group's value list — ``arg_index`` is ``None`` for
-    ``count(*)`` (no values collected, row count suffices).
+    argument expressions, one per *distinct* argument (TPC-H Q1's seven
+    arguments are five expressions), and each spec is ``(arg_index,
+    initial, fold, fold_rows, final, distinct)``: ``arg_index`` is
+    ``None`` for ``count(*)``; ``fold(state, values, n)`` folds a
+    group's next ``n`` rows (their non-NULL argument values);
+    ``fold_rows(states, values, row_gids)`` folds value ``i`` into group
+    ``row_gids[i]``; ``final`` (``None``: identity) gives the result.
 
-    Reducers reproduce the fold semantics of
-    :class:`~repro.algebra.aggregates.AggregateDescriptor` exactly: SUM
-    and AVG fold the non-NULL values in input order with
-    ``functools.reduce(operator.add, ...)``, the same left fold with the
-    same float evaluation order (builtin ``sum`` is not: since CPython
-    3.12 it compensates float rounding), and builtin ``min``/``max``
-    keep the first of equal values as the fold does.  So both engines
-    compute identical aggregate values on every CPython.
+    Both forms are :class:`~repro.algebra.aggregates.AggregateDescriptor`
+    ``.step``, value by value from left to right: SUM and AVG continue
+    the running total with ``operator.add`` (``functools.reduce(
+    operator.add, values, total)``), the tuple engine's float evaluation
+    order (builtin ``sum`` compensates rounding since CPython 3.12), and
+    MIN/MAX replace the running value only by a strictly better one, so
+    the first of equal values is kept, on every CPython.
     """
     arg_fns = []
+    index_of: dict = {}
     specs = []
     for _, call in aggregates:
-        if call.argument is None:
-            specs.append((_make_reducer(call.func, call.distinct), None))
-        else:
-            arg_index = len(arg_fns)
-            arg_fns.append(compile_vector(call.argument, layout, bound))
-            specs.append((_make_reducer(call.func, call.distinct),
-                          arg_index))
+        arg_index = None
+        if call.argument is not None:
+            # 1 and 1.0 are equal literals but not the same argument.
+            key = (call.argument, call.argument.sql())
+            arg_index = index_of.get(key)
+            if arg_index is None:
+                arg_index = index_of[key] = len(arg_fns)
+                arg_fns.append(compile_vector(call.argument, layout, bound))
+        initial, fold, fold_rows, final = _FOLDS[call.func]
+        if call.func is AggregateFunction.COUNT_STAR and call.distinct:
+            # Degenerate count(distinct *): the shared fold dedupes its
+            # (absent) argument, collapsing all rows to one.
+            final = partial(min, 1)
+        specs.append((arg_index, initial, fold, fold_rows, final,
+                      call.distinct and call.argument is not None))
     return arg_fns, specs
 
 
-def _dedupe(values: list) -> list:
-    """First occurrence of each value, in input order (NULL included),
-    mirroring the tuple engine's distinct-tracking set."""
-    seen: set = set()
-    add = seen.add
-    out = []
-    append = out.append
-    for v in values:
-        if v not in seen:
-            add(v)
-            append(v)
-    return out
+def _sum(state, values: list, n: int):
+    if not values:
+        return state
+    return (reduce(operator.add, values) if state is None
+            else reduce(operator.add, values, state))
 
 
-def _make_reducer(func: AggregateFunction, distinct: bool):
-    if func is AggregateFunction.COUNT_STAR:
-        if distinct:
-            # Degenerate count(distinct *): the shared fold dedupes its
-            # (absent) argument, collapsing all rows to one.
-            return lambda values, count: 1 if count else 0
-        return lambda values, count: count
+def _sum_rows(states: list, values: list, row_gids: list[int]) -> None:
+    for gid, v in zip(row_gids, values):
+        total = states[gid]
+        states[gid] = v if total is None else total + v
 
-    if func is AggregateFunction.COUNT:
-        def reduce_count(values: list, count: int):
-            if distinct:
-                values = _dedupe(values)
-            return len(values) - values.count(None)
-        return reduce_count
 
-    if func is AggregateFunction.SUM:
-        def reduce_sum(values: list, count: int):
-            if distinct:
-                values = _dedupe(values)
-            non_null = [v for v in values if v is not None]
-            return reduce(operator.add, non_null) if non_null else None
-        return reduce_sum
+def _avg(state: tuple, values: list, n: int) -> tuple:
+    total, count = state
+    return _sum(total, values, n), count + len(values)
 
-    if func is AggregateFunction.MIN:
-        def reduce_min(values: list, count: int):
-            if distinct:
-                values = _dedupe(values)
-            non_null = [v for v in values if v is not None]
-            return min(non_null) if non_null else None
-        return reduce_min
 
-    if func is AggregateFunction.MAX:
-        def reduce_max(values: list, count: int):
-            if distinct:
-                values = _dedupe(values)
-            non_null = [v for v in values if v is not None]
-            return max(non_null) if non_null else None
-        return reduce_max
+def _avg_rows(states: list, values: list, row_gids: list[int]) -> None:
+    for gid, v in zip(row_gids, values):
+        total, count = states[gid]
+        states[gid] = (v if total is None else total + v, count + 1)
 
-    if func is AggregateFunction.AVG:
-        def reduce_avg(values: list, count: int):
-            if distinct:
-                values = _dedupe(values)
-            non_null = [v for v in values if v is not None]
-            if not non_null:
-                return None
-            return reduce(operator.add, non_null) / len(non_null)
-        return reduce_avg
 
-    raise ExecutionError(f"unhandled aggregate {func}")  # pragma: no cover
+def _final_avg(state: tuple):
+    total, count = state
+    return total / count if count else None
+
+
+def _extreme(pick: Callable, better: Callable) -> tuple:
+    """MIN (``min``, ``<``) or MAX (``max``, ``>``) folds."""
+    def fold(state, values: list, n: int):
+        if not values:
+            return state
+        return pick(values) if state is None else pick(state, *values)
+
+    def fold_rows(states: list, values: list, row_gids: list[int]) -> None:
+        for gid, v in zip(row_gids, values):
+            best = states[gid]
+            if best is None or better(v, best):
+                states[gid] = v
+    return None, fold, fold_rows, None
+
+
+def _count_rows(states: list, values, row_gids: list[int]) -> None:
+    for gid, count in Counter(row_gids).items():
+        states[gid] += count
+
+
+#: Per aggregate function: ``(initial, fold, fold_rows, final)``.
+_FOLDS = {
+    AggregateFunction.COUNT_STAR: (
+        0, lambda state, values, n: state + n, _count_rows, None),
+    AggregateFunction.COUNT: (
+        0, lambda state, values, n: state + len(values), _count_rows, None),
+    AggregateFunction.SUM: (None, _sum, _sum_rows, None),
+    AggregateFunction.AVG: ((None, 0), _avg, _avg_rows, _final_avg),
+    AggregateFunction.MIN: _extreme(min, operator.lt),
+    AggregateFunction.MAX: _extreme(max, operator.gt),
+}
 
 
 # Down here because batched_apply builds on the definitions above (Batch,

@@ -19,6 +19,7 @@ operator crosses batch boundaries even on seven-row tables.
 """
 
 import builtins
+import datetime
 import os
 from collections import Counter
 
@@ -545,6 +546,82 @@ def test_limit_stops_before_a_later_max1row_violation():
         assert db.execute(sql, engine=engine).rows == [(1, 7)]
         with pytest.raises(SubqueryReturnedMultipleRows):
             db.execute(sql.replace(" limit 1", ""), engine=engine)
+
+
+# -- NULL-free kernels and the aggregate fold, chosen per batch -----------------
+#
+# 160 rows in batches of 32 (chunks of 64): NULLs sit in the fourth batch
+# only, so the C-level kernels and the NULL-aware row path alternate
+# within one statement.  ``g`` makes 4 groups per batch (each folded as
+# one list), ``h`` 32 (folded row by row); groups with ``id % 4 == 3``
+# never hold a value.  ``x`` mixes 1 and 1.0, which MIN/MAX must keep in
+# first-seen order.
+
+def fold_db() -> Database:
+    db = Database(batch_size=32, chunk_rows=64)
+    db.create_table("k", [("id", DataType.INTEGER, False),
+                          ("g", DataType.INTEGER, False),
+                          ("h", DataType.INTEGER, False),
+                          ("i", DataType.INTEGER, True),
+                          ("f", DataType.FLOAT, True),
+                          ("x", DataType.FLOAT, True),
+                          ("z", DataType.INTEGER, True),
+                          ("d", DataType.DATE, False)],
+                    primary_key=("id",))
+    rows = []
+    for n in range(160):
+        value = n % 4 != 3 and not (96 <= n < 128 and n % 3 == 0)
+        rows.append((n, n % 4, n % 40, n % 7 if value else None,
+                     n / 8 + 0.1 if value else None,
+                     (1 if n % 3 else 1.0) if value else None,
+                     0 if value and n % 5 == 0 and n % 7 < 3 else n % 5 + 1,
+                     datetime.date(2020, 1, 31) + datetime.timedelta(n)))
+    db.insert("k", rows)
+    return db
+
+
+FOLD_CORPUS = [
+    "select k.id, k.i + 1, 2 - k.i, k.i * 3, k.i * k.f, k.f - k.i,"
+    " k.f + k.f, k.i < k.f, 2 > k.i, k.i = 2, k.f <> k.i from k",
+    "select k.id, k.d + interval '1' month, k.d - interval '3' day from k",
+    "select k.g, sum(k.i), avg(k.f), min(k.x), max(k.x), count(k.i),"
+    " count(distinct k.i), count(*), sum(k.i * k.f), avg(k.i * k.f)"
+    " from k group by k.g",
+    "select k.h, sum(k.i), avg(k.f), min(k.x), max(k.x), count(k.i),"
+    " count(distinct k.i), count(*), sum(k.i * k.f), min(k.f), max(k.i)"
+    " from k group by k.h",
+    "select sum(k.i), avg(k.f), min(k.x), max(k.x), count(k.i),"
+    " count(distinct k.f), count(*), max(k.d) from k",
+    "select k.g, k.h, sum(k.f), count(distinct k.x) from k"
+    " where k.i > 1 group by k.g, k.h",
+    # the division's NULL rows and zero divisors all fail ``k.i > 2``
+    "select k.id from k where k.i > 2 and k.id / k.z > 0",
+    "select k.id from k where k.i > 2 and k.f < 15.0 and k.id / k.z >= 1",
+]
+
+
+def _typed(rows):
+    """Rows with each value's type, so 1 and 1.0 differ."""
+    return [tuple((type(v).__name__, v) for v in row) for row in rows]
+
+
+def test_kernels_and_folds_switch_per_batch():
+    db = fold_db()
+    for sql in FOLD_CORPUS:
+        assert_engines_agree(db, sql)
+        expected = outcome(db, sql, FULL, "tuple")
+        actual = outcome(db, sql, FULL, "vectorized")
+        assert isinstance(expected, list) and expected, sql
+        assert _typed(actual) == _typed(expected), sql
+    # a zero divisor behind a conjunct it passes: both engines raise
+    sql = "select k.id from k where k.i >= 0 and k.id / k.z > 0"
+    assert_engines_agree(db, sql)
+    assert outcome(db, sql, FULL, "vectorized") is ZeroDivisionError
+    # MIN/MAX keep the first of the equal 1 and 1.0 of each group
+    by_h = {row[0]: row[3:5] for row in
+            db.execute(FOLD_CORPUS[3], engine="vectorized").rows}
+    assert _typed([by_h[0], by_h[1]]) == _typed([(1.0, 1.0), (1, 1)])
+    assert by_h[3] == (None, None)
 
 
 # -- TPC-H corpus --------------------------------------------------------------

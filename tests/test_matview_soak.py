@@ -20,6 +20,7 @@ validate every lock acquisition against the declared hierarchy.
 
 import os
 import threading
+from collections import Counter
 
 from repro import Database, DataType, TransactionConflict
 
@@ -129,11 +130,28 @@ def test_concurrent_maintenance_soak():
         expected = db.execute(sql, use_matviews=False).rows
         for engine in ("tuple", "vectorized"):
             got = db.execute(sql, engine=engine).rows
-            assert got == expected, f"at-rest disagreement on {sql!r}"
+            assert got == expected, mismatch(
+                f"at-rest views-on vs views-off on {sql!r}", engine,
+                expected, got)
     maintained = sorted(db.storage.get("mv").rows)
     db.matviews.refresh("mv")
-    assert sorted(db.storage.get("mv").rows) == maintained
-    assert db.matviews.status()["maintained_commits"] > 0
+    refreshed = sorted(db.storage.get("mv").rows)
+    assert refreshed == maintained, mismatch(
+        "maintained vs refreshed backing of mv", "maintenance", refreshed,
+        maintained)
+    status = db.matviews.status()
+    assert status["maintained_commits"] > 0, (
+        f"no maintained commits (engine: maintenance); status {status}; "
+        f"backing rows {refreshed}")
+
+
+def mismatch(what: str, engine: str, expected: list, actual: list) -> str:
+    """An assertion message that names the rows on either side only."""
+    missing = Counter(expected) - Counter(actual)
+    extra = Counter(actual) - Counter(expected)
+    return (f"{what} ({engine}): expected {expected}, actual {actual}; "
+            f"only expected {sorted(missing.elements(), key=repr)}, "
+            f"only actual {sorted(extra.elements(), key=repr)}")
 
 
 def test_commit_blocked_by_concurrent_refresh_stays_correct():

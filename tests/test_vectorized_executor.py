@@ -13,9 +13,13 @@ from repro.algebra import (And, Arithmetic, Column, ColumnRef, Comparison,
                            Literal, Or)
 from repro.errors import SubqueryReturnedMultipleRows
 from repro.executor import Batch, VectorizedExecutor
+from repro.executor import vectorized
+from repro.executor.expressions import build_layout
 from repro.executor.vector_expressions import compile_vector
 from repro.executor.vectorized import (batch_rows, columns_to_batches,
                                        rows_to_batches, take_batch)
+from repro.physical.plan import PHashAggregate
+from repro.tpch import QUERIES, create_tpch_schema
 
 
 def make_db(batch_size=4) -> Database:
@@ -153,6 +157,56 @@ class TestEngineContracts:
         rows = db.execute("select a from t", mode="naive",
                           engine="vectorized").rows
         assert sorted(rows) == [(i,) for i in range(1, 11)]
+
+
+class TestTouchOnce:
+    """Each value's work is done once: a filtered batch is gathered once,
+    and an aggregate argument is compiled and evaluated once."""
+
+    def test_fused_filter_gathers_unread_columns_once_per_batch(
+            self, monkeypatch):
+        db = Database(batch_size=8)
+        db.create_table("w", [(f"c{i}", DataType.INTEGER, False)
+                              for i in range(16)])
+        db.insert("w", [(n % 3, n % 5, n % 7)
+                        + tuple(n * 16 + i for i in range(3, 16))
+                        for n in range(40)])
+        takes = []
+        real_take = vectorized.take_batch
+        monkeypatch.setattr(vectorized, "take_batch", lambda batch, rows:
+                            takes.append(len(batch.columns))
+                            or real_take(batch, rows))
+        gathered = []  # columns each conjunct's own gather fills
+        real_gatherer = vectorized._gatherer
+
+        def counting_gatherer(expr, layout, bound):
+            take = real_gatherer(expr, layout, bound)
+
+            def counted(batch, rows):
+                out = take(batch, rows)
+                if out is not batch:
+                    gathered.append(sum(1 for col in out.columns if col))
+                return out
+            return counted
+        monkeypatch.setattr(vectorized, "_gatherer", counting_gatherer)
+        sql = "select * from w where w.c0 <> 0 and w.c1 <> 0 and w.c2 <> 0"
+        rows = db.execute(sql, engine="vectorized").rows
+        assert rows == db.execute(sql, engine="tuple").rows
+        # one 16-column gather per batch of 8, each conjunct reads one
+        assert takes == [16] * 5
+        assert gathered and set(gathered) == {1}
+
+    def test_q1_compiles_each_distinct_argument_once(self):
+        db = Database()
+        create_tpch_schema(db)
+        node = db.prepare(QUERIES["Q1"]).plan
+        while not isinstance(node, PHashAggregate):
+            (node,) = node.children
+        arg_fns, specs = vectorized._aggregate_specs(
+            node.aggregates, build_layout(node.child.columns))
+        # sum and avg share l_quantity and l_extendedprice
+        assert (len(node.aggregates), len(arg_fns)) == (8, 5)
+        assert [spec[0] for spec in specs] == [0, 1, 2, 3, 0, 1, 4, None]
 
 
 class TestOperatorPaths:
