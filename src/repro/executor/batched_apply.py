@@ -31,11 +31,12 @@ is bit-identical to the tuple engine's.
 
 Which plans batch is decided at prepare time from the plan shape alone:
 :func:`compile_batched_apply` returns ``None`` when any operator of the
-inner side has no batched form and the caller keeps the per-row path.
-Batched forms exist for ``PIndexSeek``, ``PFilter``, ``PProject``,
-``PTableScan`` (under a filter with a correlated equality, or under an
-uncorrelated Apply), the three aggregates, ``PTopN``/``PSort``/``PTop``/
-``PMax1row``, ``PUnionAll`` and nested ``PNLApply``.  A semi/anti Apply
+inner side has no batched form, and the vectorized engine then runs the
+whole statement on the tuple engine.  Batched forms exist for
+``PIndexSeek``, ``PFilter``, ``PProject``, ``PTableScan`` (under a
+filter with a correlated equality, or under an uncorrelated Apply), the
+three aggregates, ``PTopN``/``PSort``/``PTop``/``PMax1row``,
+``PUnionAll`` and nested ``PNLApply``.  A semi/anti Apply
 stops pulling its inner side at the first match; its inner side batches
 only when that early stop is observable at its root alone — a chain of
 ``PProject``/``PMax1row`` ending in an index seek or a blocking operator.
@@ -63,18 +64,18 @@ from typing import Callable, Optional, Sequence
 
 from ..algebra.relational import JoinKind
 from ..algebra.scalar import Comparison, ScalarExpr, conjuncts
-from ..errors import ExecutionError, SubqueryReturnedMultipleRows
+from ..errors import SubqueryReturnedMultipleRows
 from ..physical.plan import (PFilter, PHashAggregate, PIndexSeek, PMax1row,
                              PNLApply, PProject, PScalarAggregate, PSort,
                              PStreamAggregate, PTableScan, PTop, PTopN,
                              PUnionAll, PhysicalOp, apply_bindings_key,
                              outer_references)
 from ..storage.table import Storage, StoredTable
-from .naive import _SortValue
-from .physical import ExecutionContext
+from .physical import ExecutionContext, index_resolver
 from .vector_expressions import CompiledVector, compile_vector
 from .vectorized import (Batch, _aggregate_specs, _GroupStates,
-                         compile_predicate, filter_batch,
+                         _rank_function, _select, compile_predicate,
+                         compile_residual, filter_batch,
                          hash_aggregate_batches, match_rows,
                          stream_aggregate_batches, take_batch)
 
@@ -109,7 +110,8 @@ ApplyBatch = Callable[[ExecutionContext, Batch, Optional[list[int]]],
 
 
 class _Unbatchable(Exception):
-    """Raised at prepare time: this inner plan keeps the per-row path."""
+    """Raised at prepare time: this plan has no batched form, so its
+    statement runs on the tuple engine."""
 
 
 def compile_batched_apply(storage: Storage,
@@ -131,13 +133,6 @@ def _gather(column, indexes) -> list:
 def _empty(ncols: int) -> Batch:
     """No rows, ``ncols`` columns behind the ordinal."""
     return Batch([[] for _ in range(ncols + 1)], 0)
-
-
-def _select(batch: Batch, indexes: list[int]) -> Batch:
-    """Rows of ``batch`` in ``indexes`` order (any order, unlike
-    :func:`~.vectorized.take_batch`)."""
-    return Batch([_gather(col, indexes) for col in batch.columns],
-                 len(indexes))
 
 
 def _starts(ordinals: Sequence[int], count: int) -> list[int]:
@@ -183,6 +178,32 @@ def _fetch(table: StoredTable, hits: Sequence[Sequence[int]],
     return Batch([ordinals] + [list(c) for c in zip(*rows)], len(rows))
 
 
+def compile_index_seek(storage: Storage, plan: PIndexSeek,
+                       bound: frozenset[int] = frozenset()) -> BatchedOp:
+    """``plan`` probed once per binding: one ``lookup_many`` over the
+    distinct bindings' keys, the hits fetched behind their ordinals and
+    the residual applied.  The vectorized engine's plain seek is this
+    run with one binding."""
+    resolve = index_resolver(storage, plan,
+                             lambda expr: compile_vector(expr, {}, bound))
+    residual = (compile_predicate(conjuncts(plan.residual),
+                                  _led_layout(plan.columns), bound)
+                if plan.residual is not None else [])
+    ncols = len(plan.columns)
+
+    def run(ctx: ExecutionContext, bind: Bindings) -> Batch:
+        table, index, key_fns = resolve(ctx.storage)
+        params = ctx.params
+        probe = _probe_batch(bind)
+        hits = index.lookup_many(zip(*[fn(probe, params) for fn in key_fns]))
+        fetched = _fetch(table, hits, ncols)
+        if ctx.governor is not None and fetched.nrows:
+            # every fetched row, before the residual, like the loop
+            ctx.governor.consume_rows(_logical_rows(fetched.columns[0], bind))
+        return filter_batch(fetched, residual, params)
+    return run
+
+
 # -- inner operators -----------------------------------------------------------------
 
 class _InnerCompiler:
@@ -223,43 +244,7 @@ class _InnerCompiler:
     # -- leaves ----------------------------------------------------------------------
 
     def _prepare_PIndexSeek(self, plan: PIndexSeek) -> BatchedOp:
-        table = self.storage.get(plan.table_name)
-        name = plan.table_name
-        names = [c.name for c in plan.key_columns]
-        if table.key_lookup_index(names) is None:
-            raise ExecutionError(
-                f"no index on {plan.table_name}({', '.join(names)})")
-        fn_for = {table.definition.column_index(c.name): self._vector(e, {})
-                  for c, e in zip(plan.key_columns, plan.key_exprs)}
-        residual = (compile_predicate(conjuncts(plan.residual),
-                                      _led_layout(plan.columns), self.bound)
-                    if plan.residual is not None else [])
-        ncols = len(plan.columns)
-        # Per-version memo, as in the per-row seeks.
-        resolved: tuple = (None, None, None)
-
-        def run(ctx: ExecutionContext, bind: Bindings) -> Batch:
-            nonlocal resolved
-            table = ctx.storage.get(name)
-            cached_table, index, key_fns = resolved
-            if table is not cached_table:
-                index = table.key_lookup_index(names)
-                if index is None:
-                    raise ExecutionError(
-                        f"no index on {name}({', '.join(names)})")
-                key_fns = [fn_for[p] for p in index.positions]
-                resolved = (table, index, key_fns)
-            params = ctx.params
-            probe = _probe_batch(bind)
-            hits = index.lookup_many(
-                zip(*[fn(probe, params) for fn in key_fns]))
-            fetched = _fetch(table, hits, ncols)
-            if ctx.governor is not None and fetched.nrows:
-                # every fetched row, before the residual, like the loop
-                ctx.governor.consume_rows(
-                    _logical_rows(fetched.columns[0], bind))
-            return filter_batch(fetched, residual, params)
-        return run
+        return compile_index_seek(self.storage, plan, self.bound)
 
     def _prepare_PTableScan(self, plan: PTableScan) -> BatchedOp:
         if self.bound:
@@ -295,7 +280,7 @@ class _InnerCompiler:
                            scan: PTableScan) -> BatchedOp:
         """A correlated equality filter over a scan: hash the bindings on
         the equality's outer side, scan the table once and probe —
-        O(bindings + rows) where the per-row path pays their product."""
+        O(bindings + rows) where a per-row loop pays their product."""
         self.storage.get(scan.table_name)  # validate eagerly
         name = scan.table_name
         scan_ids = {c.cid for c in scan.columns}
@@ -538,23 +523,6 @@ def _scan_equality(conjunct: ScalarExpr, scan_ids: set[int]
     return None
 
 
-def _rank_function(keys: list[tuple[list, bool]]
-                   ) -> Callable[[int, int], list[int]]:
-    """``rank(start, stop)``: the row indexes of that slice in sort
-    order (stable, NULLs first ascending / last descending)."""
-    if len(keys) == 1 and None not in keys[0][0]:
-        # One NULL-free key column: compare the raw values (a reversed
-        # sort is still stable).
-        column, ascending = keys[0]
-        return lambda start, stop: sorted(
-            range(start, stop), key=column.__getitem__,
-            reverse=not ascending)
-    row_keys = list(zip(*[[_SortValue(v, asc) for v in column]
-                          for column, asc in keys]))
-    return lambda start, stop: sorted(range(start, stop),
-                                      key=row_keys.__getitem__)
-
-
 # -- the Apply itself ----------------------------------------------------------------
 
 def _early_stop_chain(inner: PhysicalOp) -> frozenset[int]:
@@ -562,7 +530,7 @@ def _early_stop_chain(inner: PhysicalOp) -> frozenset[int]:
     where the probe stops: one-to-one operators down to the first seek
     or blocking operator.  They all produce the same rows per binding,
     so the Apply can count them itself; any other shape (a filter, a
-    union, a nested Apply ... in that prefix) keeps the per-row path."""
+    union, a nested Apply ... in that prefix) has no batched form."""
     keys = []
     node = inner
     while True:
@@ -606,8 +574,7 @@ def _compile_apply(storage: Storage, plan: PNLApply,
                            chain).prepare(plan.right)
     guard = (compile_vector(plan.guard, left_layout, outer_bound)
              if plan.guard is not None else None)
-    predicate = (compile_vector(plan.predicate, combined_layout, outer_bound)
-                 if plan.predicate is not None else None)
+    predicate = compile_residual(plan.predicate, combined_layout, outer_bound)
     n_right = len(plan.right.columns)
     executions_key = apply_bindings_key(plan)
 

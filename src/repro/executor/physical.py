@@ -8,14 +8,15 @@ of ``PNLApply``, which re-opens per outer row).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .. import faultinject
 from ..algebra.aggregates import descriptor
 from ..algebra.columns import Column
 from ..algebra.relational import JoinKind
-from ..algebra.scalar import AggregateCall, parameter_slot
+from ..algebra.scalar import AggregateCall, ScalarExpr, parameter_slot
 from ..errors import ExecutionError, SubqueryReturnedMultipleRows
 from ..physical.plan import (PConstantScan, PDifference, PFilter,
                              PHashAggregate, PHashJoin, PIndexSeek,
@@ -179,36 +180,14 @@ class PhysicalExecutor:
         return _Executable(rows)
 
     def _prepare_PIndexSeek(self, plan: PIndexSeek) -> _Executable:
-        table = self._storage.get(plan.table_name)
-        name = plan.table_name
-        names = [c.name for c in plan.key_columns]
-        if table.key_lookup_index(names) is None:
-            raise ExecutionError(
-                f"no index on {plan.table_name}({', '.join(names)})")
-        layout = build_layout(plan.columns)
-        fn_for = {table.definition.column_index(c.name): compile_expr(e, {})
-                  for c, e in zip(plan.key_columns, plan.key_exprs)}
-        residual = (compile_expr(plan.residual, layout)
+        resolve = index_resolver(self._storage, plan,
+                                 lambda expr: compile_expr(expr, {}))
+        residual = (compile_expr(plan.residual, build_layout(plan.columns))
                     if plan.residual is not None else None)
         empty = ()
-        # Table versions are immutable once installed, so the per-version
-        # resolution — the index, and the key expressions in its column
-        # order — is memoized as one atomically-swapped tuple; concurrent
-        # runs over different snapshots stay consistent because each
-        # reads the (version, index, key order) triple it resolved.
-        resolved: tuple = (None, None, None)
 
         def rows(ctx: ExecutionContext) -> Iterator[tuple]:
-            nonlocal resolved
-            table = ctx.storage.get(name)
-            cached_table, index, key_fns = resolved
-            if table is not cached_table:
-                index = table.key_lookup_index(names)
-                if index is None:
-                    raise ExecutionError(
-                        f"no index on {name}({', '.join(names)})")
-                key_fns = [fn_for[p] for p in index.positions]
-                resolved = (table, index, key_fns)
+            table, index, key_fns = resolve(ctx.storage)
             governor = ctx.governor
             params = ctx.params
             positions = index.lookup(
@@ -300,33 +279,8 @@ class PhysicalExecutor:
                     key = tuple(fn(row, params) for fn in left_keys)
                     bucket = (table.get(key, ())
                               if not any(p is None for p in key) else ())
-                    if kind is JoinKind.INNER:
-                        for match in bucket:
-                            combined = row + match
-                            if residual is None or \
-                                    residual(combined, params) is True:
-                                yield combined
-                    elif kind is JoinKind.LEFT_OUTER:
-                        matched = False
-                        for match in bucket:
-                            combined = row + match
-                            if residual is None or \
-                                    residual(combined, params) is True:
-                                matched = True
-                                yield combined
-                        if not matched:
-                            yield row + pad
-                    elif kind is JoinKind.LEFT_SEMI:
-                        for match in bucket:
-                            if residual is None or \
-                                    residual(row + match, params) is True:
-                                yield row
-                                break
-                    else:  # LEFT_ANTI
-                        if not any(residual is None or
-                                   residual(row + match, params) is True
-                                   for match in bucket):
-                            yield row
+                    yield from _loop_join_row(row, bucket, residual, params,
+                                              kind, pad)
             finally:
                 if governor is not None:
                     governor.release_rows(built)
@@ -359,12 +313,59 @@ class PhysicalExecutor:
         return _Executable(rows)
 
     def _prepare_PNLApply(self, plan: PNLApply) -> _Executable:
+        """The correlated nested loop: per left row, evaluate the guard,
+        bind the columns the inner side references as parameters,
+        re-open the inner side and join."""
         left = self.prepare(plan.left)
         right = self.prepare(plan.right)
-        loop = compile_apply_loop(plan, right.rows)
+        left_layout = build_layout(plan.left.columns)
+        referenced = outer_references(plan.right)
+        bindings = [(cid, position) for cid, position in left_layout.items()
+                    if cid in referenced]
+        combined_layout = build_layout(
+            list(plan.left.columns) + list(plan.right.columns))
+        predicate = (compile_expr(plan.predicate, combined_layout)
+                     if plan.predicate is not None else None)
+        guard = (compile_expr(plan.guard, left_layout)
+                 if plan.guard is not None else None)
+        kind = plan.kind
+        pad = (None,) * len(plan.right.columns)
+        executions_key = apply_bindings_key(plan)
 
         def rows(ctx: ExecutionContext) -> Iterator[tuple]:
-            return loop(ctx, left.rows(ctx))
+            params = ctx.params
+            governor = ctx.governor
+            # Cooperative checks per outer row: correlated loops can spin
+            # for a long time without touching a guarded scan.  Charged
+            # in small batches so the per-row cost is an integer add.
+            interval = min(64, governor.check_interval) if governor else 0
+            pending = 0
+            executions = 0
+            try:
+                for row in left.rows(ctx):
+                    if governor is not None:
+                        pending += 1
+                        if pending >= interval:
+                            governor.consume_rows(pending)
+                            pending = 0
+                    if guard is not None and guard(row, params) is not True:
+                        yield row + pad  # §2.4: inner side never evaluated
+                        continue
+                    for cid, position in bindings:
+                        params[cid] = row[position]
+                    executions += 1
+                    yield from _loop_join_row(row, right.rows(ctx),
+                                              predicate, params, kind, pad)
+            finally:
+                profile = ctx.profile
+                if profile is not None:
+                    # How often the inner side ran: feedback divides the
+                    # inner nodes' cumulative actuals by it
+                    # (repro.feedback).
+                    profile[executions_key] = (
+                        profile.get(executions_key, 0) + executions)
+                if pending:
+                    governor.consume_rows(pending)
         return _Executable(rows)
 
     def _prepare_PHashAggregate(self, plan: PHashAggregate) -> _Executable:
@@ -498,8 +499,6 @@ class PhysicalExecutor:
         return _Executable(rows)
 
     def _prepare_PTopN(self, plan) -> _Executable:
-        import heapq
-
         child = self.prepare(plan.child)
         layout = build_layout(plan.child.columns)
         compiled = [(compile_expr(e, layout), asc) for e, asc in plan.keys]
@@ -514,21 +513,10 @@ class PhysicalExecutor:
                 return [_SortValue(fn(row, params), asc)
                         for fn, asc in compiled]
 
-            # Bounded heap of the best `keep` rows.  The min-heap root is
-            # the *worst* kept entry under the inverted key, so a better
-            # row replaces it in O(log keep).  Earlier input order breaks
-            # ties (stable like the full sort).
-            heap: list = []
-            sequence = 0
-            for row in child.rows(ctx):
-                entry = _TopNEntry(sort_key(row), sequence, row)
-                sequence += 1
-                if len(heap) < keep:
-                    heapq.heappush(heap, entry)
-                elif heap[0].worse_than(entry):
-                    heapq.heapreplace(heap, entry)
-            ordered = sorted(heap, key=lambda e: (e.key, e.sequence))
-            return iter([e.row for e in ordered[plan.offset:]])
+            # The best ``keep`` rows of the stable sort, in a bounded heap
+            # (``nsmallest`` is ``sorted(...)[:keep]``, ties included).
+            return iter(heapq.nsmallest(keep, child.rows(ctx),
+                                        key=sort_key)[plan.offset:])
         return _Executable(rows)
 
     def _prepare_PMax1row(self, plan: PMax1row) -> _Executable:
@@ -615,67 +603,44 @@ class PhysicalExecutor:
         return _Executable(rows)
 
 
-def compile_apply_loop(plan: PNLApply,
-                       inner: Callable[[ExecutionContext], Iterator[tuple]]
-                       ) -> Callable[[ExecutionContext, Iterable[tuple]],
-                                     Iterator[tuple]]:
-    """The correlated nested loop of ``plan`` over a prepared inner side.
+def index_resolver(storage: Storage, plan: PIndexSeek,
+                   compile_key: Callable[[ScalarExpr], Any]
+                   ) -> Callable[[Any], tuple]:
+    """``resolve(storage)``: ``(table, index, key_fns)`` for the version
+    of ``plan``'s table that ``storage`` holds — the index on the seek's
+    key columns and its key expressions, compiled by ``compile_key``, in
+    the index's column order.  Shared by every engine's seek.
 
-    Returns ``loop(ctx, left_rows)``: per left row, evaluate the guard,
-    bind the columns the inner side references as parameters, re-open
-    ``inner`` and join.  Shared by the tuple engine and the vectorized
-    engine's per-row Apply path.
-    """
-    left_layout = build_layout(plan.left.columns)
-    referenced = outer_references(plan.right)
-    bindings = [(cid, position) for cid, position in left_layout.items()
-                if cid in referenced]
-    combined_layout = build_layout(
-        list(plan.left.columns) + list(plan.right.columns))
-    predicate = (compile_expr(plan.predicate, combined_layout)
-                 if plan.predicate is not None else None)
-    guard = (compile_expr(plan.guard, left_layout)
-             if plan.guard is not None else None)
-    kind = plan.kind
-    pad = (None,) * len(plan.right.columns)
-    executions_key = apply_bindings_key(plan)
+    Table versions are immutable once installed, so the resolution is
+    memoized per version as one atomically swapped triple: concurrent
+    runs over different snapshots stay consistent because each reads the
+    triple it resolved.  The index is checked eagerly against
+    ``storage`` and again for each new version."""
+    name = plan.table_name
+    names = [c.name for c in plan.key_columns]
 
-    def loop(ctx: ExecutionContext,
-             left_rows: Iterable[tuple]) -> Iterator[tuple]:
-        params = ctx.params
-        governor = ctx.governor
-        # Cooperative checks per outer row: correlated loops can spin
-        # for a long time without touching a guarded scan.  Charged
-        # in small batches so the per-row cost is an integer add.
-        interval = min(64, governor.check_interval) if governor else 0
-        pending = 0
-        executions = 0
-        try:
-            for row in left_rows:
-                if governor is not None:
-                    pending += 1
-                    if pending >= interval:
-                        governor.consume_rows(pending)
-                        pending = 0
-                if guard is not None and guard(row, params) is not True:
-                    yield row + pad  # §2.4: inner side never evaluated
-                    continue
-                for cid, position in bindings:
-                    params[cid] = row[position]
-                executions += 1
-                yield from _loop_join_row(row, inner(ctx), predicate,
-                                          params, kind, pad)
-        finally:
-            profile = ctx.profile
-            if profile is not None:
-                # How often the inner side ran: feedback divides the
-                # inner nodes' cumulative actuals by it (repro.feedback).
-                profile[executions_key] = (profile.get(executions_key, 0)
-                                           + executions)
-            if pending:
-                governor.consume_rows(pending)
+    def lookup_index(table):
+        index = table.key_lookup_index(names)
+        if index is None:
+            raise ExecutionError(f"no index on {name}({', '.join(names)})")
+        return index
 
-    return loop
+    table = storage.get(name)
+    lookup_index(table)
+    fn_for = {table.definition.column_index(c.name): compile_key(e)
+              for c, e in zip(plan.key_columns, plan.key_exprs)}
+    resolved: tuple = (None, None, None)
+
+    def resolve(storage) -> tuple:
+        nonlocal resolved
+        table = storage.get(name)
+        current = resolved
+        if current[0] is not table:
+            index = lookup_index(table)
+            current = resolved = (table, index,
+                                  [fn_for[p] for p in index.positions])
+        return current
+    return resolve
 
 
 def _loop_join_row(row: tuple, inner_rows, predicate, params,
@@ -704,31 +669,6 @@ def _loop_join_row(row: tuple, inner_rows, predicate, params,
             if predicate is None or predicate(row + match, params) is True:
                 return
         yield row
-
-
-class _TopNEntry:
-    """Heap entry for Top-N: min-heap ordering puts the WORST kept row at
-    the root (inverted comparison; later sequence = worse on ties)."""
-
-    __slots__ = ("key", "sequence", "row")
-
-    def __init__(self, key: list, sequence: int, row: tuple) -> None:
-        self.key = key
-        self.sequence = sequence
-        self.row = row
-
-    def __lt__(self, other: "_TopNEntry") -> bool:
-        # Inverted: "less" in the heap means "worse" in sort order.
-        if self.key == other.key:
-            return self.sequence > other.sequence
-        return other.key < self.key
-
-    def worse_than(self, other: "_TopNEntry") -> bool:
-        """Whether `self` sorts after `other` (so `other` should replace
-        it among the kept best rows)."""
-        if self.key == other.key:
-            return self.sequence > other.sequence
-        return other.key < self.key
 
 
 class _AggregateFolder:

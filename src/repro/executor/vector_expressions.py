@@ -293,10 +293,7 @@ def _gatherer(expr: ScalarExpr, layout: Layout, bound: AbstractSet[int]
     positions ``rows``, gathering only the columns ``expr`` reads.  The
     other columns are left empty: the compiled ``expr`` never reads them.
     """
-    ids = expr.free_columns().ids()
-    needed = {layout[cid] for cid in ids if cid in layout}
-    if any(cid in bound for cid in ids if cid not in layout):
-        needed.add(0)  # a bound reference gathers through the ordinal
+    needed = read_positions(expr, layout, bound)
 
     def take(batch: "Batch", rows: Sequence[int]) -> "Batch":
         if len(rows) == batch.nrows:
@@ -305,6 +302,16 @@ def _gatherer(expr: ScalarExpr, layout: Layout, bound: AbstractSet[int]
                             for p, col in enumerate(batch.columns)],
                            len(rows))
     return take
+
+
+def read_positions(expr: ScalarExpr, layout: Layout,
+                   bound: AbstractSet[int] = frozenset()) -> set[int]:
+    """The batch columns the compiled ``expr`` reads, by position."""
+    ids = expr.free_columns().ids()
+    needed = {layout[cid] for cid in ids if cid in layout}
+    if any(cid in bound for cid in ids if cid not in layout):
+        needed.add(0)  # a bound reference gathers through the ordinal
+    return needed
 
 
 def gather(column: list, rows: Sequence[int]) -> list:

@@ -16,12 +16,14 @@ executor — same values (shared scalar semantics via
 output order.  The differential oracle (tests/test_differential.py)
 enforces this across randomly generated queries and the TPC-H corpus.
 
-Uncorrelated nested loops, full sorts and Top-N bridge to row form and
-reuse the tuple executor's loops.  Correlated ``NLApply`` — what is left
-of the paper's Apply after normalization, and every index nested-loops
-join — runs set-at-a-time: one outer batch's distinct bindings through
-the inner plan at once (:mod:`.batched_apply`); only inner plans with
-an operator that has no batched form loop per outer row.
+A nested-loops join pairs each left batch with every materialized right
+row through the hash join's :func:`match_rows`; sorts and Top-N rank
+their key columns.  Correlated ``NLApply`` — what is left of the paper's
+Apply after normalization, and every index nested-loops join — runs
+set-at-a-time: one outer batch's distinct bindings through the inner
+plan at once (:mod:`.batched_apply`), and a plain index seek is that
+seek run with one binding.  A plan with an Apply whose inner side has no
+batched form runs wholly on the tuple engine, decided at prepare time.
 
 Invariants:
 
@@ -65,20 +67,13 @@ from ..physical.plan import (PConstantScan, PDifference, PFilter,
                              apply_bindings_key)
 from ..storage.columnar import compile_zone_filters
 from ..storage.table import Storage
-from .expressions import build_layout, compile_expr
+from .expressions import build_layout
 from .naive import _SortValue
-from .physical import (ExecutionContext, PhysicalExecutor, _loop_join_row,
-                       _TopNEntry, compile_apply_loop)
+from .physical import ExecutionContext, PhysicalExecutor
 from .vector_expressions import (CompiledVector, _gatherer,
-                                 compile_vector, gather)
+                                 compile_vector, gather, read_positions)
 
 DEFAULT_BATCH_SIZE = 1024
-
-
-def _contains_segment_ref(plan: PhysicalOp) -> bool:
-    if isinstance(plan, PSegmentRef):
-        return True
-    return any(_contains_segment_ref(c) for c in plan.children)
 
 
 class Batch:
@@ -116,17 +111,11 @@ def batch_rows(batch: Batch) -> list[tuple]:
     return [()] * batch.nrows
 
 
-def rows_to_batches(rows: Iterator[tuple], ncols: int,
-                    size: int) -> Iterator[Batch]:
-    """Re-batch a row stream into column chunks of at most ``size``."""
-    while True:
-        chunk = list(itertools.islice(rows, size))
-        if not chunk:
-            return
-        if ncols:
-            yield Batch([list(c) for c in zip(*chunk)], len(chunk))
-        else:
-            yield Batch([], len(chunk))
+def _select(batch: Batch, indexes: Sequence[int]) -> Batch:
+    """Rows of ``batch`` in ``indexes`` order (any order, unlike
+    :func:`take_batch`)."""
+    return Batch([list(map(col.__getitem__, indexes))
+                  for col in batch.columns], len(indexes))
 
 
 def columns_to_batches(columns: list[list], total: int,
@@ -140,6 +129,30 @@ def columns_to_batches(columns: list[list], total: int,
     for start in range(0, total, size):
         stop = min(start + size, total)
         yield Batch([col[start:stop] for col in columns], stop - start)
+
+
+def _rechunk(source: Iterator[Batch], ncols: int,
+             size: int) -> Iterator[Batch]:
+    """``source`` cut into batches of exactly ``size`` rows, the last one
+    shorter.  A batch goes out as soon as its last row is in, and the
+    short one only once ``source`` is exhausted: what a row source
+    re-batched gives, so the operators below release what they hold at
+    the same point of the stream (and ``peak_rows_buffered`` is the
+    same) whatever batches ``source`` yields."""
+    pending: list[list] = [[] for _ in range(ncols)]
+    count = 0
+    for batch in source:
+        for column, values in zip(pending, batch.columns):
+            column.extend(values)
+        count += batch.nrows
+        if count >= size:
+            full = count - count % size
+            yield from columns_to_batches([col[:full] for col in pending],
+                                          full, size)
+            pending = [col[full:] for col in pending]
+            count -= full
+    if count:
+        yield Batch(pending, count)
 
 
 def _key_iter(batch: Batch, positions: list[int]):
@@ -156,14 +169,15 @@ def match_rows(kind: JoinKind, buckets: Sequence[Sequence[int]], lb: Batch,
     """Pair every left row of ``lb`` with its candidate right rows.
 
     ``buckets[i]`` holds the right-row indexes (into ``right_cols``) that
-    left row ``i`` may match; ``residual`` (a compiled vector predicate
-    over left columns followed by right columns, or ``None``) decides
-    which candidates do.  Returns parallel index lists ``(li, ri)`` of
-    the emitted pairs, left row order first, bucket order within a row —
+    left row ``i`` may match; ``residual`` (from :func:`compile_residual`,
+    over left columns followed by right columns) decides which
+    candidates do.  Returns parallel index lists ``(li, ri)`` of the
+    emitted pairs, left row order first, bucket order within a row —
     the order a tuple-at-a-time probe produces.  ``ri`` is meaningful
     for INNER and LEFT_OUTER only; an unmatched LEFT_OUTER row pairs
     with ``pad_index``.  Shared by the hash join (buckets from the build
-    table) and the batched Apply (buckets from the binding ordinal).
+    table), the nested-loops join (one bucket of every right row) and
+    the batched Apply (buckets from the binding ordinal).
 
     ``pulled``, when given for a SEMI/ANTI probe, receives per left row
     how many candidates a tuple-at-a-time probe would have consumed
@@ -199,11 +213,13 @@ def match_rows(kind: JoinKind, buckets: Sequence[Sequence[int]], lb: Batch,
             cri.extend(bucket)
         bounds.append(len(cri))
     if cri:
-        candidates = Batch(
-            [[col[i] for i in cli] for col in lb.columns] +
-            [[col[j] for j in cri] for col in right_cols],
-            len(cri))
-        mask = residual(candidates, params)
+        predicate, reads = residual
+        columns = ([(col, cli) for col in lb.columns] +
+                   [(col, cri) for col in right_cols])
+        candidates = Batch([[col[i] for i in rows] if p in reads else []
+                            for p, (col, rows) in enumerate(columns)],
+                           len(cri))
+        mask = predicate(candidates, params)
     else:
         mask = []
     if kind is JoinKind.INNER or kind is JoinKind.LEFT_OUTER:
@@ -233,6 +249,28 @@ def match_rows(kind: JoinKind, buckets: Sequence[Sequence[int]], lb: Batch,
         if pulled is not None:
             pulled.append(consumed)
     return li, ri
+
+
+def compile_residual(expr: Optional[ScalarExpr], layout,
+                     bound: AbstractSet[int] = frozenset()):
+    """The residual of :func:`match_rows`: ``expr`` compiled, and the
+    candidate columns it reads (no other one is gathered); ``None``
+    without an ``expr``."""
+    if expr is None:
+        return None
+    return (compile_vector(expr, layout, bound),
+            read_positions(expr, layout, bound))
+
+
+def _joined(lb: Batch, li: list[int], right_cols: list[list],
+            ri: list[int], left_only: bool) -> Batch:
+    """The output batch of :func:`match_rows`' pairs: left rows ``li``,
+    followed (unless the join emits left rows only) by right rows
+    ``ri``."""
+    out = [[col[i] for i in li] for col in lb.columns]
+    if not left_only:
+        out += [[col[j] for j in ri] for col in right_cols]
+    return Batch(out, len(li))
 
 
 def filter_batch(batch: Batch, predicate: list[tuple[CompiledVector,
@@ -297,14 +335,15 @@ def compile_predicate(parts: Sequence[ScalarExpr], layout,
 
 
 class _VecExecutable:
-    """A prepared operator: ``batches(ctx)`` yields output batches.
-    ``plan`` is the operator it was prepared from, and ``row`` the tuple
-    engine's executable of that plan once a run needed it."""
+    """A prepared operator: ``batches(ctx)`` yields output batches.  At
+    the root of a statement, ``plan`` is the statement's plan and ``row``
+    the tuple engine's executable of it once a run needed it; ``batches``
+    is ``None`` when the statement runs on the tuple engine alone."""
 
     __slots__ = ("batches", "plan", "row")
 
-    def __init__(self,
-                 batches: Callable[[ExecutionContext], Iterator[Batch]]):
+    def __init__(self, batches: Optional[
+            Callable[[ExecutionContext], Iterator[Batch]]]):
         self.batches = batches
         self.plan: Optional[PhysicalOp] = None
         self.row = None
@@ -360,8 +399,8 @@ class VectorizedExecutor:
             raise ExecutionError("batch_size must be at least 1")
         self._storage = storage
         self._batch_size = batch_size
-        # Row-engine sibling: the inner side of a per-row Apply, and
-        # the re-run of a statement that raised (see run_prepared).
+        # Row-engine sibling: runs the statements that raised or have an
+        # Apply without a batched form (see prepare and run_prepared).
         self._row_executor = PhysicalExecutor(storage)
 
     # -- driving ----------------------------------------------------------------
@@ -384,24 +423,26 @@ class VectorizedExecutor:
         partial run's profile counts and governor charges are dropped,
         so nothing is counted twice; the deadline keeps running.  Its
         cost: a statement that raises here pays a partial vectorized run
-        plus a full tuple run."""
+        plus a full tuple run.  A statement :meth:`prepare` left to the
+        tuple engine runs there directly."""
         faultinject.hit("executor.open.vectorized")
-        charged = ((governor.rows_examined, governor.rows_buffered,
-                    governor.peak_rows_buffered)
-                   if governor is not None else None)
-        try:
-            return self._drive(executable, params, governor, storage,
-                               profile)
-        except (ArithmeticError, ExecutionError):
-            if profile is not None:
-                profile.clear()
-            if governor is not None:
-                (governor.rows_examined, governor.rows_buffered,
-                 governor.peak_rows_buffered) = charged
-            if executable.row is None:
-                executable.row = self._row_executor.prepare(executable.plan)
-            return self._row_executor.run_prepared(
-                executable.row, params, governor, storage, profile)
+        if executable.batches is not None:
+            charged = ((governor.rows_examined, governor.rows_buffered,
+                        governor.peak_rows_buffered)
+                       if governor is not None else None)
+            try:
+                return self._drive(executable, params, governor, storage,
+                                   profile)
+            except (ArithmeticError, ExecutionError):
+                if profile is not None:
+                    profile.clear()
+                if governor is not None:
+                    (governor.rows_examined, governor.rows_buffered,
+                     governor.peak_rows_buffered) = charged
+        if executable.row is None:
+            executable.row = self._row_executor.prepare(executable.plan)
+        return self._row_executor.run_prepared(
+            executable.row, params, governor, storage, profile)
 
     def _drive(self, executable: _VecExecutable, params, governor,
                storage, profile) -> list[tuple]:
@@ -426,6 +467,19 @@ class VectorizedExecutor:
     # -- preparation ------------------------------------------------------------
 
     def prepare(self, plan: PhysicalOp) -> _VecExecutable:
+        """The executable of a statement's plan.  When an Apply of the
+        plan has no batched form (``compile_batched_apply`` returns
+        ``None``), the whole statement runs on the tuple engine, like a
+        statement that raised."""
+        try:
+            executable = self._prepare(plan)
+        except _Unbatchable:
+            executable = _VecExecutable(None)
+            executable.row = self._row_executor.prepare(plan)
+        executable.plan = plan
+        return executable
+
+    def _prepare(self, plan: PhysicalOp) -> _VecExecutable:
         method = getattr(self, "_prepare_" + type(plan).__name__, None)
         if method is None:
             raise ExecutionError(
@@ -433,7 +487,6 @@ class VectorizedExecutor:
                 f"{type(plan).__name__}")
         executable = method(plan)
         executable.batches = _vec_profiled(executable.batches, id(plan))
-        executable.plan = plan
         return executable
 
     # -- leaves -----------------------------------------------------------------
@@ -510,49 +563,13 @@ class VectorizedExecutor:
         return batches
 
     def _prepare_PIndexSeek(self, plan: PIndexSeek) -> _VecExecutable:
-        table = self._storage.get(plan.table_name)
-        name = plan.table_name
-        names = [c.name for c in plan.key_columns]
-        if table.key_lookup_index(names) is None:
-            raise ExecutionError(
-                f"no index on {plan.table_name}({', '.join(names)})")
-        fn_for = {table.definition.column_index(c.name): compile_expr(e, {})
-                  for c, e in zip(plan.key_columns, plan.key_exprs)}
-        residual = (compile_predicate(conjuncts(plan.residual),
-                                      build_layout(plan.columns))
-                    if plan.residual is not None else None)
-        empty = ()
-        # Per-version memo of the index and the key expressions in its
-        # column order, swapped atomically (see the tuple engine's
-        # _prepare_PIndexSeek for the concurrency argument).
-        resolved: tuple = (None, None, None)
+        seek = compile_index_seek(self._storage, plan)
+        one = Bindings(1, None, 1)
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
-            nonlocal resolved
-            table = ctx.storage.get(name)
-            cached_table, index, key_fns = resolved
-            if table is not cached_table:
-                index = table.key_lookup_index(names)
-                if index is None:
-                    raise ExecutionError(
-                        f"no index on {name}({', '.join(names)})")
-                key_fns = [fn_for[p] for p in index.positions]
-                resolved = (table, index, key_fns)
-            governor = ctx.governor
-            params = ctx.params
-            positions = index.lookup(
-                tuple([fn(empty, params) for fn in key_fns]))
-            if not positions:
-                return
-            if governor is not None:
-                governor.consume_rows(len(positions))
-            fetched = table.rows_at(positions)
-            batch = Batch([list(c) for c in zip(*fetched)], len(fetched))
-            if residual is not None:
-                batch = filter_batch(batch, residual, params)
-                if not batch.nrows:
-                    return
-            yield batch
+            batch = seek(ctx, one)
+            if batch.nrows:  # the binding ordinal dropped
+                yield Batch(batch.columns[1:], batch.nrows)
         return _VecExecutable(batches)
 
     def _prepare_PConstantScan(self, plan: PConstantScan) -> _VecExecutable:
@@ -587,7 +604,7 @@ class VectorizedExecutor:
             self._storage.get(plan.child.table_name)  # validate eagerly
             return _VecExecutable(
                 self._make_scan(plan.child, plan.predicate))
-        child = self.prepare(plan.child)
+        child = self._prepare(plan.child)
         predicate = compile_predicate(conjuncts(plan.predicate),
                                       build_layout(plan.child.columns))
 
@@ -600,7 +617,7 @@ class VectorizedExecutor:
         return _VecExecutable(batches)
 
     def _prepare_PProject(self, plan: PProject) -> _VecExecutable:
-        child = self.prepare(plan.child)
+        child = self._prepare(plan.child)
         layout = build_layout(plan.child.columns)
         fns = [compile_vector(e, layout) for _, e in plan.items]
 
@@ -613,8 +630,8 @@ class VectorizedExecutor:
     # -- joins ------------------------------------------------------------------
 
     def _prepare_PHashJoin(self, plan: PHashJoin) -> _VecExecutable:
-        left = self.prepare(plan.left)
-        right = self.prepare(plan.right)
+        left = self._prepare(plan.left)
+        right = self._prepare(plan.right)
         left_layout = build_layout(plan.left.columns)
         right_layout = build_layout(plan.right.columns)
         left_key_fns = [compile_vector(e, left_layout)
@@ -623,8 +640,7 @@ class VectorizedExecutor:
                          for e in plan.right_keys]
         combined_layout = build_layout(
             list(plan.left.columns) + list(plan.right.columns))
-        residual = (compile_vector(plan.residual, combined_layout)
-                    if plan.residual is not None else None)
+        residual = compile_residual(plan.residual, combined_layout)
         kind = plan.kind
         n_right = len(plan.right.columns)
         left_only = kind.left_only_output
@@ -644,12 +660,9 @@ class VectorizedExecutor:
                 valid = [i for i, k in enumerate(keys) if None not in k]
                 if not valid:
                     continue
-                if len(valid) == rb.nrows:
-                    for col, vals in zip(right_cols, rb.columns):
-                        col.extend(vals)
-                else:
-                    for col, vals in zip(right_cols, rb.columns):
-                        col.extend([vals[i] for i in valid])
+                for col, vals in zip(right_cols,
+                                     take_batch(rb, valid).columns):
+                    col.extend(vals)
                 for pos, i in enumerate(valid, start=total):
                     setdefault(keys[i], []).append(pos)
                 total += len(valid)
@@ -670,13 +683,8 @@ class VectorizedExecutor:
                         [empty_bucket if None in k
                          else get_bucket(k, empty_bucket) for k in keys],
                         lb, right_cols, residual, params, pad_index)
-                    if not li:
-                        continue
-                    out_cols = [[col[i] for i in li] for col in lb.columns]
-                    if not left_only:
-                        out_cols += [[col[j] for j in ri]
-                                     for col in right_cols]
-                    yield Batch(out_cols, len(li))
+                    if li:
+                        yield _joined(lb, li, right_cols, ri, left_only)
             finally:
                 if governor is not None:
                     governor.release_rows(built)
@@ -684,72 +692,78 @@ class VectorizedExecutor:
 
     def _prepare_PNestedLoopsJoin(self,
                                   plan: PNestedLoopsJoin) -> _VecExecutable:
-        left = self.prepare(plan.left)
-        right = self.prepare(plan.right)
+        """Every left row against every materialized right row: the hash
+        join's :func:`match_rows` with one bucket of all right rows.
+        Left batches are cut so that one call sees about ``4 ×
+        batch_size`` candidate pairs."""
+        left = self._prepare(plan.left)
+        right = self._prepare(plan.right)
         combined_layout = build_layout(
             list(plan.left.columns) + list(plan.right.columns))
-        predicate = (compile_expr(plan.predicate, combined_layout)
-                     if plan.predicate is not None else None)
+        predicate = compile_residual(plan.predicate, combined_layout)
         kind = plan.kind
-        pad = (None,) * len(plan.right.columns)
+        n_right = len(plan.right.columns)
+        left_only = kind.left_only_output
         ncols = len(plan.columns)
         size = self._batch_size
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             params = ctx.params
             governor = ctx.governor
-            materialized: list[tuple] = []
+            right_cols: list[list] = [[] for _ in range(n_right)]
+            total = 0
             for rb in right.batches(ctx):
                 if governor is not None:
                     governor.hold_rows(rb.nrows)
-                materialized.extend(batch_rows(rb))
+                for col, vals in zip(right_cols, rb.columns):
+                    col.extend(vals)
+                total += rb.nrows
+            if kind is JoinKind.LEFT_OUTER:
+                for col in right_cols:
+                    col.append(None)
+            every = range(total)
+            width = max(1, 4 * size // max(total, 1))
 
-            def generate() -> Iterator[tuple]:
+            def joined() -> Iterator[Batch]:
                 for lb in left.batches(ctx):
-                    for row in batch_rows(lb):
-                        yield from _loop_join_row(row, materialized,
-                                                  predicate, params,
-                                                  kind, pad)
+                    for start in range(0, lb.nrows, width):
+                        part = take_batch(
+                            lb, range(start, min(start + width, lb.nrows)))
+                        li, ri = match_rows(kind, [every] * part.nrows, part,
+                                            right_cols, predicate, params,
+                                            total)
+                        if li:
+                            yield _joined(part, li, right_cols, ri,
+                                          left_only)
             try:
-                yield from rows_to_batches(generate(), ncols, size)
+                yield from _rechunk(joined(), ncols, size)
             finally:
                 if governor is not None:
-                    governor.release_rows(len(materialized))
+                    governor.release_rows(total)
         return _VecExecutable(batches)
 
     def _prepare_PNLApply(self, plan: PNLApply) -> _VecExecutable:
-        """Correlated Apply, batched when the inner side allows it.
+        """Correlated Apply, run set-at-a-time.
 
         The batched form (:mod:`.batched_apply`) runs the inner plan once
-        per outer batch over the batch's distinct bindings.  Which form
-        runs is fixed here, from the inner plan's operators alone; an
-        inner side without a batched form loops per outer row like the
-        tuple engine.  A batched inner evaluates every binding of its
-        batch, so it may raise where a row-at-a-time run would have
-        stopped first (a ``LIMIT`` above, a semi probe's first match);
-        :meth:`run_prepared` then re-runs the statement on the tuple
-        engine.
+        per outer batch over the batch's distinct bindings.  An inner
+        side without one (decided from its operators alone) sends the
+        whole statement to the tuple engine (:meth:`prepare`).  A batched
+        inner evaluates every binding of its batch, so it may raise
+        where a row-at-a-time run would have stopped first (a ``LIMIT``
+        above, a semi probe's first match); :meth:`run_prepared` then
+        re-runs the statement on the tuple engine.
         """
-        left = self.prepare(plan.left)
-        ncols = len(plan.columns)
-        size = self._batch_size
         batched = compile_batched_apply(self._storage, plan)
-
         if batched is None:
-            loop = compile_apply_loop(plan, self._row_inner(plan.right))
-
-            def batches(ctx: ExecutionContext) -> Iterator[Batch]:
-                rows = (row for lb in left.batches(ctx)
-                        for row in batch_rows(lb))
-                return rows_to_batches(loop(ctx, rows), ncols, size)
-            return _VecExecutable(batches)
+            raise _Unbatchable("Apply without a batched form")
+        left = self._prepare(plan.left)
 
         # One inner run materializes the inner rows of all its bindings
         # and one output batch; cutting the outer batches so a run
         # yields about ``limit`` rows keeps that transient (and the
-        # process's peak memory) where the per-row loop's re-batching
-        # had it, whatever the fan-out.
-        limit = 4 * size
+        # process's peak memory) bounded, whatever the fan-out.
+        limit = 4 * self._batch_size
         probe = 4  # outer rows of the first cut, before any fan-out is known
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
@@ -762,32 +776,15 @@ class VectorizedExecutor:
                 while start < lb.nrows:
                     width = (max(1, limit * seen // max(produced, seen))
                              if seen else probe)
-                    stop = min(start + width, lb.nrows)
-                    part = (lb if stop - start == lb.nrows else
-                            Batch([col[start:stop] for col in lb.columns],
-                                  stop - start))
-                    seen += stop - start
-                    start = stop
+                    part = take_batch(
+                        lb, range(start, min(start + width, lb.nrows)))
+                    seen += part.nrows
+                    start += part.nrows
                     out = batched(ctx, part, None)
                     if out is not None:
                         produced += out.nrows
                         yield out
         return _VecExecutable(batches)
-
-    def _row_inner(self, inner: PhysicalOp
-                   ) -> Callable[[ExecutionContext], Iterator[tuple]]:
-        """The inner side of a per-row Apply as a re-openable row source:
-        the row engine, unless the plan reads a segment bound by an
-        enclosing vectorized SegmentApply (segments are stored as
-        batches, which only the vectorized SegmentRef can read)."""
-        if not _contains_segment_ref(inner):
-            return self._row_executor.prepare(inner).rows
-        inner_vec = self.prepare(inner)
-
-        def rows(ctx: ExecutionContext) -> Iterator[tuple]:
-            for batch in inner_vec.batches(ctx):
-                yield from batch_rows(batch)
-        return rows
 
     # -- aggregation ------------------------------------------------------------
 
@@ -798,7 +795,7 @@ class VectorizedExecutor:
     def _prepare_grouped(self, child_plan: PhysicalOp,
                          group_columns: Sequence[Column],
                          aggregates) -> _VecExecutable:
-        child = self.prepare(child_plan)
+        child = self._prepare(child_plan)
         layout = build_layout(child_plan.columns)
         group_positions = [layout[c.cid] for c in group_columns]
         arg_fns, specs = _aggregate_specs(aggregates, layout)
@@ -812,7 +809,7 @@ class VectorizedExecutor:
 
     def _prepare_PStreamAggregate(self,
                                   plan: PStreamAggregate) -> _VecExecutable:
-        child = self.prepare(plan.child)
+        child = self._prepare(plan.child)
         layout = build_layout(plan.child.columns)
         group_positions = [layout[c.cid] for c in plan.group_columns]
         arg_fns, specs = _aggregate_specs(plan.aggregates, layout)
@@ -826,7 +823,7 @@ class VectorizedExecutor:
 
     def _prepare_PScalarAggregate(self,
                                   plan: PScalarAggregate) -> _VecExecutable:
-        child = self.prepare(plan.child)
+        child = self._prepare(plan.child)
         layout = build_layout(plan.child.columns)
         arg_fns, specs = _aggregate_specs(plan.aggregates, layout)
 
@@ -843,96 +840,74 @@ class VectorizedExecutor:
     # -- ordering and limits ----------------------------------------------------
 
     def _prepare_PSort(self, plan: PSort) -> _VecExecutable:
-        child = self.prepare(plan.child)
+        return self._ordered(plan, 0, None)
+
+    def _prepare_PTopN(self, plan: PTopN) -> _VecExecutable:
+        return self._ordered(plan, plan.offset, plan.count + plan.offset)
+
+    def _ordered(self, plan: PSort | PTopN, first: int,
+                 last: Optional[int]) -> _VecExecutable:
+        """A stable sort on the key columns, keeping ranks ``[first,
+        last)``.  A full sort (``last`` is ``None``) holds its input on
+        the governor; a Top-N charges nothing and, whenever a batch more
+        than its ``last`` rows has arrived, cuts back to the best."""
+        child = self._prepare(plan.child)
         layout = build_layout(plan.child.columns)
-        compiled = [(compile_expr(e, layout), asc) for e, asc in plan.keys]
+        key_fns = [compile_vector(e, layout) for e, _ in plan.keys]
+        ascending = [asc for _, asc in plan.keys]
         ncols = len(plan.columns)
         size = self._batch_size
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
+            if last == 0:
+                return
             params = ctx.params
-            governor = ctx.governor
-
-            def sort_key(row: tuple):
-                return [_SortValue(fn(row, params), asc)
-                        for fn, asc in compiled]
-            data: list[tuple] = []
+            governor = ctx.governor if last is None else None
+            # The rows, then their sort key columns.
+            columns: list[list] = [[] for _ in range(ncols + len(key_fns))]
             for batch in child.batches(ctx):
                 if governor is not None:
                     governor.hold_rows(batch.nrows)
-                data.extend(batch_rows(batch))
+                for column, values in zip(columns, batch.columns + [
+                        fn(batch, params) for fn in key_fns]):
+                    column.extend(values)
+                if last is not None and len(columns[-1]) > last + size:
+                    columns = _ranks(columns, ascending, 0, last)
+            held = len(columns[-1])
             try:
-                data.sort(key=sort_key)
-                yield from rows_to_batches(iter(data), ncols, size)
+                columns = _ranks(columns, ascending, first, last)
+                yield from columns_to_batches(columns[:ncols],
+                                              len(columns[-1]), size)
             finally:
                 if governor is not None:
-                    governor.release_rows(len(data))
+                    governor.release_rows(held)
         return _VecExecutable(batches)
 
     def _prepare_PTop(self, plan: PTop) -> _VecExecutable:
-        child = self.prepare(plan.child)
+        child = self._prepare(plan.child)
         count = plan.count
         offset = plan.offset
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             to_skip = offset
             remaining = count
-            if remaining <= 0:
+            if not (remaining or to_skip):
                 return
+            # The offset rows are pulled even under LIMIT 0, as the tuple
+            # engine's islice does, and nothing after the last row.
             for batch in child.batches(ctx):
-                if to_skip >= batch.nrows:
-                    to_skip -= batch.nrows
-                    continue
-                start = to_skip
-                to_skip = 0
-                stop = min(batch.nrows, start + remaining)
-                if start == 0 and stop == batch.nrows:
-                    out = batch
-                else:
-                    out = Batch([col[start:stop] for col in batch.columns],
-                                stop - start)
-                remaining -= out.nrows
-                yield out
-                if remaining <= 0:
+                if remaining and to_skip < batch.nrows:
+                    out = take_batch(batch, range(
+                        to_skip, min(batch.nrows, to_skip + remaining)))
+                    remaining -= out.nrows
+                    yield out
+                to_skip = max(0, to_skip - batch.nrows)
+                if not (remaining or to_skip):
                     return
         return _VecExecutable(batches)
 
-    def _prepare_PTopN(self, plan: PTopN) -> _VecExecutable:
-        import heapq
-
-        child = self.prepare(plan.child)
-        layout = build_layout(plan.child.columns)
-        compiled = [(compile_expr(e, layout), asc) for e, asc in plan.keys]
-        keep = plan.count + plan.offset
-        offset = plan.offset
-        ncols = len(plan.columns)
-        size = self._batch_size
-
-        def batches(ctx: ExecutionContext) -> Iterator[Batch]:
-            if keep == 0:
-                return
-            params = ctx.params
-
-            def sort_key(row: tuple):
-                return [_SortValue(fn(row, params), asc)
-                        for fn, asc in compiled]
-            heap: list = []
-            sequence = 0
-            for batch in child.batches(ctx):
-                for row in batch_rows(batch):
-                    entry = _TopNEntry(sort_key(row), sequence, row)
-                    sequence += 1
-                    if len(heap) < keep:
-                        heapq.heappush(heap, entry)
-                    elif heap[0].worse_than(entry):
-                        heapq.heapreplace(heap, entry)
-            ordered = sorted(heap, key=lambda e: (e.key, e.sequence))
-            yield from rows_to_batches(
-                iter([e.row for e in ordered[offset:]]), ncols, size)
-        return _VecExecutable(batches)
-
     def _prepare_PMax1row(self, plan: PMax1row) -> _VecExecutable:
-        child = self.prepare(plan.child)
+        child = self._prepare(plan.child)
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             produced = 0
@@ -950,7 +925,7 @@ class VectorizedExecutor:
         for source, imap in zip(plan.inputs, plan.input_maps):
             layout = build_layout(source.columns)
             positions = [layout[c.cid] for c in imap]
-            prepared.append((self.prepare(source), positions))
+            prepared.append((self._prepare(source), positions))
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             for source, positions in prepared:
@@ -960,13 +935,12 @@ class VectorizedExecutor:
         return _VecExecutable(batches)
 
     def _prepare_PDifference(self, plan: PDifference) -> _VecExecutable:
-        left = self.prepare(plan.left)
-        right = self.prepare(plan.right)
+        left = self._prepare(plan.left)
+        right = self._prepare(plan.right)
         left_layout = build_layout(plan.left.columns)
         right_layout = build_layout(plan.right.columns)
         left_positions = [left_layout[c.cid] for c in plan.left_map]
         right_positions = [right_layout[c.cid] for c in plan.right_map]
-        ncols = len(plan.columns)
 
         def batches(ctx: ExecutionContext) -> Iterator[Batch]:
             remaining: Counter = Counter()
@@ -974,25 +948,23 @@ class VectorizedExecutor:
                 for key in _key_iter(batch, right_positions):
                     remaining[key] += 1
             for batch in left.batches(ctx):
-                survivors: list[tuple] = []
-                for key in _key_iter(batch, left_positions):
+                kept: list[int] = []
+                for i, key in enumerate(_key_iter(batch, left_positions)):
                     if remaining[key] > 0:
                         remaining[key] -= 1
-                        continue
-                    survivors.append(key)
-                if survivors:
-                    if ncols:
-                        yield Batch([list(c) for c in zip(*survivors)],
-                                    len(survivors))
                     else:
-                        yield Batch([], len(survivors))
+                        kept.append(i)
+                if kept:
+                    yield take_batch(Batch([batch.columns[p] for p
+                                            in left_positions],
+                                           batch.nrows), kept)
         return _VecExecutable(batches)
 
     # -- segmented execution ----------------------------------------------------
 
     def _prepare_PSegmentApply(self, plan: PSegmentApply) -> _VecExecutable:
-        left = self.prepare(plan.left)
-        right = self.prepare(plan.right)
+        left = self._prepare(plan.left)
+        right = self._prepare(plan.right)
         left_layout = build_layout(plan.left.columns)
         seg_positions = [left_layout[c.cid] for c in plan.segment_columns]
         ref_key = frozenset(c.cid for c in plan.inner_columns)
@@ -1042,6 +1014,38 @@ class VectorizedExecutor:
                 if governor is not None:
                     governor.release_rows(held)
         return _VecExecutable(batches)
+
+
+# -- ordering: one stable sort over key columns -------------------------------------
+#
+# Module-level so the batched Apply ranks each binding's rows with it.
+
+def _rank_function(keys: list[tuple[list, bool]]
+                   ) -> Callable[[int, int], list[int]]:
+    """``rank(start, stop)``: the row indexes of that slice in sort
+    order (stable, NULLs first ascending / last descending)."""
+    if len(keys) == 1 and None not in keys[0][0]:
+        # One NULL-free key column: compare the raw values (a reversed
+        # sort is still stable).
+        column, ascending = keys[0]
+        return lambda start, stop: sorted(
+            range(start, stop), key=column.__getitem__,
+            reverse=not ascending)
+    row_keys = list(zip(*[[_SortValue(v, asc) for v in column]
+                          for column, asc in keys]))
+    return lambda start, stop: sorted(range(start, stop),
+                                      key=row_keys.__getitem__)
+
+
+def _ranks(columns: list[list], ascending: list[bool], first: int,
+           last: Optional[int]) -> list[list]:
+    """``columns`` (rows, then one sort key column per ``ascending``
+    flag) cut to the rows of sort ranks ``[first, last)``, in rank
+    order."""
+    keys = columns[len(columns) - len(ascending):]
+    rank = _rank_function(list(zip(keys, ascending)))
+    return _select(Batch(columns, len(keys[0])),
+                   rank(0, len(keys[0]))[first:last]).columns
 
 
 # -- aggregation: one fold over a batch stream --------------------------------------
@@ -1329,6 +1333,7 @@ _FOLDS = {
 
 
 # Down here because batched_apply builds on the definitions above (Batch,
-# match_rows, the aggregate folds); the package imports this module first,
-# so the cycle always resolves in this order.
-from .batched_apply import compile_batched_apply  # noqa: E402
+# match_rows, the sort, the aggregate folds); the package imports this
+# module first, so the cycle always resolves in this order.
+from .batched_apply import (Bindings, _Unbatchable,  # noqa: E402
+                            compile_batched_apply, compile_index_seek)

@@ -4,10 +4,11 @@ The differential sweep (test_differential.py) drives the batched path
 through SQL; this module builds the plans the optimizer rarely or never
 emits — every Apply kind over every inner operator, nested Applies whose
 outer side is itself batched, uncorrelated and guarded Applies — and
-pins the engine-internal contracts: which shapes batch and which keep
-the per-row path, logical (de-duplicated) accounting in the profile and
-the governor, and the error rule: a statement that raises on the
-vectorized engine re-runs on the tuple engine, counted once.
+pins the engine-internal contracts: which shapes batch and which send
+the statement to the tuple engine, logical (de-duplicated) accounting in
+the profile and the governor, and the error rule: a statement that
+raises on the vectorized engine re-runs on the tuple engine, counted
+once.
 """
 
 import itertools
@@ -313,6 +314,29 @@ class TestWhichShapesBatch:
                                [seek_cols, scan.columns])
         assert not is_batched(
             storage, PNLApply(JoinKind.INNER, p.outer, correlated))
+
+    def test_unbatchable_apply_runs_on_the_tuple_engine(self):
+        """Decided at prepare time: the executable holds no batch source,
+        and rows, actuals and ``rows_examined`` are the tuple engine's."""
+        storage = make_storage()
+        p = Plans()
+        seek, seek_cols = p.seek()
+        more = p.s_cols()
+        join = PHashJoin(JoinKind.INNER, seek, PTableScan("s", more),
+                         [ColumnRef(seek_cols[0])], [ColumnRef(more[0])])
+        plan = PProject(PNLApply(JoinKind.INNER, p.outer, join),
+                        [(Column("k", DataType.INTEGER), ColumnRef(p.tid))])
+        assert not is_batched(storage, plan.child)
+        executable = VectorizedExecutor(storage).prepare(plan)
+        assert executable.batches is None and executable.row is not None
+        expected = ResourceGovernor()
+        expected_run = run(PhysicalExecutor(storage), plan, expected)
+        assert expected_run[0]
+        for batch_size in BATCH_SIZES:
+            governor = ResourceGovernor()
+            assert run(VectorizedExecutor(storage, batch_size), plan,
+                       governor) == expected_run
+            assert governor.rows_examined == expected.rows_examined
 
     def test_early_stop_is_only_batched_at_the_inner_root(self):
         storage = make_storage()

@@ -32,6 +32,8 @@ from repro import (CORRELATED, DECORRELATE_ONLY, FULL, NAIVE, Database,
 from repro.executor import VectorizedExecutor, vectorized
 from repro.executor.physical import ExecutionContext, PhysicalExecutor
 from repro.feedback import tree_dict
+from repro.governor import ResourceGovernor
+from repro.physical.plan import PTopN, explain_physical
 from repro.tpch import (QUERIES, create_tpch_schema, generate_tpch,
                         paper_example_formulations)
 
@@ -536,9 +538,9 @@ def test_batched_apply_grid():
 
 
 def test_limit_stops_before_a_later_max1row_violation():
-    """`rows_to_batches` used to drain a whole outer batch through the
-    Apply before the Top above could stop: the violation at the third
-    outer row surfaced although one row was asked for."""
+    """The per-row Apply's re-batching used to drain a whole outer batch
+    through the Apply before the Top above could stop: the violation at
+    the third outer row surfaced although one row was asked for."""
     db = apply_db([(0, 0, 0), (1, 0, 0), (2, 0, 0)],
                   [(0, 7), (2, 8), (2, 9)], 1024, "hash")
     sql = APPLY_SHAPES["limit_above"]
@@ -546,6 +548,173 @@ def test_limit_stops_before_a_later_max1row_violation():
         assert db.execute(sql, engine=engine).rows == [(1, 7)]
         with pytest.raises(SubqueryReturnedMultipleRows):
             db.execute(sql.replace(" limit 1", ""), engine=engine)
+
+
+def test_limit_zero_pulls_its_offset_rows():
+    """``LIMIT 0 OFFSET 2`` pulls two rows before it stops, as the tuple
+    engine's ``islice`` does, so a select list that divides by zero
+    raises on every engine; a bare ``LIMIT 0`` opens nothing."""
+    raising = "select 1 / (t.id - t.id) from t limit 0 offset 2"
+    twin = "select 1 / (t.id - t.id + 1) from t limit 0 offset 2"
+    unopened = "select 1 / (t.id - t.id) from t limit 0"
+    for batch_size in (1, 3, 1024):
+        db = apply_db([(0, 0, 0)] * 4, [], batch_size, None)
+        assert outcome(db, raising, NAIVE) is ZeroDivisionError
+        for mode in ALL_MODES:
+            for engine in ("tuple", "vectorized"):
+                assert outcome(db, raising, mode, engine) \
+                    is ZeroDivisionError, (batch_size, mode.name, engine)
+                assert outcome(db, twin, mode, engine) == [], batch_size
+                assert outcome(db, unopened, mode, engine) == [], batch_size
+
+
+# -- nested loops, Sort and TopN on columns -----------------------------------
+#
+# A nested-loops join pairs each left batch with every materialized right
+# row through ``match_rows``; Sort and TopN rank their key columns.  At
+# every batch size the vectorized engine must give the tuple engine's
+# rows (types included), EXPLAIN ANALYZE actuals and ``rows_examined``.
+
+def _governed_run(executor, plan):
+    profile = {}
+    governor = ResourceGovernor()
+    rows = executor.run_prepared(executor.prepare(plan), None, governor,
+                                 profile=profile)
+    return rows, _trace(plan, profile), governor.rows_examined
+
+
+def assert_plan_engines_agree(storage, plan, label) -> list:
+    """Vectorized = tuple on ``plan`` at batch sizes 1, 3 and 1024;
+    returns the tuple engine's rows."""
+    expected = _governed_run(PhysicalExecutor(storage), plan)
+    for batch_size in (1, 3, 1024):
+        actual = _governed_run(VectorizedExecutor(storage, batch_size), plan)
+        assert (_typed(actual[0]), *actual[1:]) == \
+            (_typed(expected[0]), *expected[1:]), \
+            f"batch size {batch_size}: {label}"
+    return expected[0]
+
+
+def assert_columnar_engines_agree(db: Database, sql: str) -> None:
+    """Vectorized = tuple under every mode, and tuple = naive (as
+    multisets) where naive returns rows and no LIMIT picks among
+    ties."""
+    reference = outcome(db, sql, NAIVE)
+    for mode in ALL_MODES:
+        rows = assert_plan_engines_agree(
+            db.storage, db.prepare(sql, mode).plan, f"{mode.name}: {sql}")
+        if isinstance(reference, list) and " limit " not in sql:
+            assert Counter(rows) == Counter(reference), sql
+
+
+NESTED_LOOPS = [
+    "select t.id, s.sid from t join s on t.val < s.amt",
+    "select t.id, s.sid from t, s",
+    "select t.id, s.sid, s.amt from t left outer join s on t.val < s.amt",
+    "select t.id, s.sid from t left outer join s on t.tag is not null",
+    "select t.id from t where exists (select * from s where s.amt > t.val)",
+    "select t.id from t where exists (select * from s)",
+    "select t.id from t where not exists"
+    " (select * from s where s.amt >= t.val)",
+    "select t.id from t where not exists (select * from s)",
+]
+
+
+def test_nested_loops_on_columns():
+    """All four join kinds, with and without a predicate, NULLs in the
+    predicate columns, LEFT OUTER padding, and an empty right side."""
+    t_rows = [(1, 2, 3), (None, None, 0), (2, 0, None), (1, 4, 1),
+              (3, 1, 1), (2, None, 2), (0, 3, 0)]
+    s_rows = [(1, 3), (2, None), (None, 1), (1, 0), (4, 4)]
+    for s in (s_rows, []):
+        db = build_db(t_rows, s)
+        for sql in NESTED_LOOPS:
+            assert_columnar_engines_agree(db, sql)
+    plan = build_db(t_rows, s_rows).prepare(NESTED_LOOPS[3], FULL).plan
+    assert "NestedLoops[left outer]" in explain_physical(plan)
+
+
+def test_nested_loops_output_batches_release_like_a_row_source():
+    """The join's output goes out in ``batch_size`` batches, the short
+    last one only once the left input is exhausted, as a re-batched row
+    stream did.  The Sort above holds the six joined rows beside the two
+    right rows, and beside the aggregate's three groups (11) unless one
+    batch holds all six, which then leaves after the aggregate let go
+    (8)."""
+    db = build_db([(1, 0, 0), (2, 0, 0), (3, 0, 0), (1, 0, 0)],
+                  [(1, 1), (2, 2)])
+    plan = db.prepare("select a.g, s.sid from (select t.grp as g,"
+                      " count(*) as n from t group by t.grp) as a, s"
+                      " order by s.sid, a.g", FULL).plan
+    assert "NestedLoops[inner]" in explain_physical(plan)
+    for batch_size, peak in ((1, 11), (3, 11), (1024, 8)):
+        governor = ResourceGovernor()
+        VectorizedExecutor(db.storage, batch_size).run(plan, None, governor)
+        assert governor.peak_rows_buffered == peak, batch_size
+
+
+def test_semi_predicate_raising_past_the_first_match_is_rerun():
+    """The tuple engine's semi probe stops at the first match, so the
+    division by the second ``s`` row's zero is never reached; the
+    vectorized join evaluates every pair, raises, and the statement's
+    re-run on the tuple engine settles it."""
+    sql = ("select t.id from t where exists (select * from s"
+           " where s.amt >= t.val and t.tag / s.amt > 0)")
+    db = build_db([(1, 0, 4)], [(1, 2), (1, 0)])
+    plan = db.prepare(sql, FULL).plan
+    assert "NestedLoops[left semi]" in explain_physical(plan)
+    with pytest.raises(ZeroDivisionError):  # the batches alone raise
+        list(VectorizedExecutor(db.storage).prepare(plan).batches(
+            ExecutionContext(None, db.storage)))
+    assert_columnar_engines_agree(db, sql)
+    assert outcome(db, sql, FULL, "vectorized") == [(1,)]
+
+
+def sort_db() -> Database:
+    """40 rows: ``g`` ties every 8th row, ``x`` mixes 1 and 1.0 and
+    holds NULLs, so equal keys span batches at every batch size."""
+    db = Database()
+    db.create_table("k", [("id", DataType.INTEGER, False),
+                          ("g", DataType.INTEGER, False),
+                          ("x", DataType.FLOAT, True)],
+                    primary_key=("id",))
+    db.insert("k", [(n, n % 5, None if n % 7 == 3
+                     else (1 if n % 3 else 1.0) if n % 2 else n / 4)
+                    for n in range(40)])
+    return db
+
+
+ORDERED = [
+    "select k.id, k.x from k order by k.x",
+    "select k.id, k.g from k order by k.g desc",
+    "select k.id, k.g, k.x from k order by k.g desc, k.x",
+    "select k.id, k.g, k.x from k order by k.x desc, k.g",
+    "select k.id, k.g from k order by k.g limit 4",
+    "select k.id, k.g, k.x from k order by k.g, k.x desc limit 7 offset 3",
+    "select k.id, k.x from k order by k.x desc limit 30 offset 5",
+    "select k.id, k.g from k order by k.g, k.x limit 5 offset 1000",
+]
+
+
+def test_sort_and_top_n_on_columns():
+    """Ties across batches, ``1``/``1.0`` ties kept in input order,
+    NULLs first ascending and last descending, mixed ASC/DESC keys and
+    an offset beyond the row count."""
+    db = sort_db()
+    for sql in ORDERED:
+        assert_columnar_engines_agree(db, sql)
+    assert outcome(db, ORDERED[-1], FULL, "vectorized") == []
+    # The optimizer sorts fully when the offset passes the estimate; a
+    # hand-made TopN past the row count, and one keeping every row.
+    top = db.prepare(ORDERED[5], FULL).plan
+    assert isinstance(top, PTopN)
+    for count, offset in ((5, 1000), (40, 0), (3, 38)):
+        assert_plan_engines_agree(
+            db.storage, PTopN(top.child, top.keys, count, offset),
+            (count, offset))
+    ones = [[x for _, x in db.execute(sql, engine="vectorized").rows
+             if x == 1] for sql in (ORDERED[0], "select k.id, k.x from k")]
+    assert _typed(ones[:1]) == _typed(ones[1:])  # in input order
 
 
 # -- NULL-free kernels and the aggregate fold, chosen per batch -----------------

@@ -249,3 +249,19 @@ def test_one_error_rule_in_the_executors():
                 catching.append((path.name, function, names))
     assert catching == [("vectorized.py", "run_prepared",
                          {"ArithmeticError", "ExecutionError"})]
+
+
+def test_vectorized_engine_meets_the_tuple_engine_only_at_the_root():
+    """The row bridges stay removed: ``executor/vectorized.py`` takes
+    from the tuple engine only its run context and the executor its
+    fallback runs on, and from the row expression compiler only the
+    layout helper."""
+    tree = ast.parse((PACKAGE_DIR / "executor" / "vectorized.py")
+                     .read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(
+                alias.name for alias in node.names)
+    assert imported["physical"] == {"ExecutionContext", "PhysicalExecutor"}
+    assert imported["expressions"] == {"build_layout"}

@@ -17,7 +17,7 @@ from repro.executor import vectorized
 from repro.executor.expressions import build_layout
 from repro.executor.vector_expressions import compile_vector
 from repro.executor.vectorized import (batch_rows, columns_to_batches,
-                                       rows_to_batches, take_batch)
+                                       take_batch)
 from repro.physical.plan import PHashAggregate
 from repro.tpch import QUERIES, create_tpch_schema
 
@@ -44,16 +44,6 @@ class TestBatchHelpers:
 
     def test_batch_rows_zero_columns_keeps_cardinality(self):
         assert batch_rows(Batch([], 3)) == [(), (), ()]
-
-    def test_rows_to_batches_chunks(self):
-        batches = list(rows_to_batches(iter([(1,), (2,), (3,)]), 1, 2))
-        assert [b.nrows for b in batches] == [2, 1]
-        assert batches[0].columns == [[1, 2]]
-
-    def test_rows_to_batches_zero_columns(self):
-        batches = list(rows_to_batches(iter([(), (), ()]), 0, 2))
-        assert [(b.columns, b.nrows) for b in batches] == [([], 2),
-                                                           ([], 1)]
 
     def test_columns_to_batches_single_batch_shares_columns(self):
         cols = [[1, 2], [3, 4]]
