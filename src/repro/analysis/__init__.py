@@ -13,7 +13,8 @@ from .analyzer import (ENV_VAR, OFF, STRICT, WARN, PlanAnalysisWarning,
                        PlanAnalyzer, analysis_mode)
 from .invariants import verify_logical
 from .issues import AnalysisIssue, render_issues
-from .physical import verify_batch_layout, verify_physical
+from .physical import (verify_batch_layout, verify_physical,
+                       verify_required_columns)
 from .rulechecks import RULE_CHECKS, verify_oj_simplification
 
 __all__ = [
@@ -31,4 +32,5 @@ __all__ = [
     "verify_logical",
     "verify_oj_simplification",
     "verify_physical",
+    "verify_required_columns",
 ]

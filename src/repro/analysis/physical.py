@@ -19,7 +19,8 @@ from ..physical.plan import (PConstantScan, PDifference, PFilter,
                              PhysicalOp, PProject, PScalarAggregate,
                              PSegmentApply, PSegmentRef, PSort,
                              PStreamAggregate, PTableScan, PTop, PTopN,
-                             PUnionAll)
+                             PUnionAll, outer_references)
+from ..physical.required import PLAIN, own_reads
 from .issues import AnalysisIssue
 
 #: Optional catalog access: table name -> list of index column-name tuples.
@@ -89,11 +90,16 @@ def _walk(plan: PhysicalOp, env: frozenset[int], path: tuple[int, ...],
                    f"{len(plan.key_columns)} key column(s) but "
                    f"{len(plan.key_exprs)} probe expression(s)")
         scan_ids = set(out_ids)
+        table_ids = set(_ids(plan.table_columns))
         for column in plan.key_columns:
-            if column.cid not in scan_ids:
+            if column.cid not in table_ids:
                 report("index.key-scope",
                        f"seek key {column!r} is not a column of the "
                        f"scanned table")
+        for cid in sorted(scan_ids - table_ids):
+            report("columns.undelivered",
+                   f"seek delivers column #{cid}, which is not a column "
+                   f"of the scanned table")
         for expr in plan.key_exprs:
             check_expr(expr, set(env), "probe expression")
         check_expr(plan.residual, scan_ids | env, "seek residual")
@@ -277,3 +283,59 @@ def _walk_batch(plan: PhysicalOp, path: tuple[int, ...],
                        f"{len(plan.columns)}-column output")
     for index, child in enumerate(plan.children):
         _walk_batch(child, path + (index,), issues)
+
+
+def verify_required_columns(plan: PhysicalOp) -> list[AnalysisIssue]:
+    """``columns.unread``: an operator that delivers a column no ancestor
+    reads (what :func:`~repro.physical.required.prune_columns` leaves
+    none of).
+
+    Judged where a layout is chosen — scans, seeks, constant scans,
+    projections and unions; a filter, sort, join or aggregate hands on
+    what its inputs deliver and is judged through them.  Exempt: the
+    root, whatever a barrier keeps (the inputs of a ``PDifference``, a
+    ``PSegmentApply``'s segmented input, output and ``PSegmentRef``
+    leaves), and computed projection items, kept because they could
+    raise."""
+    issues: list[AnalysisIssue] = []
+    _walk_reads(plan, None, (), issues)
+    return issues
+
+
+def _walk_reads(plan: PhysicalOp, above: Optional[frozenset[int]],
+                path: tuple[int, ...], issues: list[AnalysisIssue]) -> None:
+    """``above``: the ids plan's ancestors read of it, ``None`` where
+    every column counts as read."""
+    own = own_reads(plan)
+    if isinstance(plan, PProject):
+        choosable = [c for c, e in plan.items if isinstance(e, PLAIN)]
+    elif isinstance(plan, (PTableScan, PIndexSeek, PConstantScan,
+                           PUnionAll)):
+        choosable = plan.columns
+    else:
+        choosable = []
+    if above is not None:
+        # a seek's residual reads its own columns; an item does not
+        allowed = above if isinstance(plan, PProject) else above | own
+        for column in choosable:
+            if column.cid not in allowed:
+                issues.append(AnalysisIssue(
+                    "columns.unread",
+                    f"delivers {column!r}, which nothing above reads",
+                    node=plan.label(), path=path))
+    passed = None if above is None else above | own
+    if isinstance(plan, (PHashJoin, PNestedLoopsJoin, PNLApply)):
+        left = passed
+        if isinstance(plan, PNLApply) and left is not None:
+            left = left | outer_references(plan.right)
+        inputs = [left, own if plan.kind.left_only_output else passed]
+    elif isinstance(plan, (PFilter, PSort, PTopN, PTop, PMax1row)):
+        inputs = [passed]
+    elif isinstance(plan, PUnionAll):
+        inputs = [frozenset(c.cid for c in imap) for imap in plan.input_maps]
+    elif isinstance(plan, (PDifference, PSegmentApply)):
+        inputs = [None, None]
+    else:  # projections and aggregates read what they compute from
+        inputs = [own]
+    for index, child in enumerate(plan.children):
+        _walk_reads(child, inputs[index], path + (index,), issues)

@@ -2,7 +2,8 @@
 
 Pipeline: selection pushdown → SegmentApply whole-tree variants, added
 to the root group of one memo → memo exploration (transformation rules)
-→ implementation (physical alternatives, costed) → cheapest plan wins.
+→ implementation (physical alternatives, costed) → cheapest plan wins →
+required columns (:mod:`repro.physical.required`) narrow it.
 
 ``OptimizerConfig`` switches individual technique families on and off;
 the benchmark harness uses these switches as the paper's "systems" axis
@@ -20,6 +21,7 @@ from ...algebra import RelationalOp
 from ...analysis import PlanAnalyzer
 from ...catalog.statistics import TableStats
 from ...physical.plan import PhysicalOp
+from ...physical.required import prune_columns
 from .cardinality import Estimate, Estimator
 from .implementation import CostedPlan, Implementer
 from .memo import GroupExpr, GroupRefLeaf, Memo
@@ -153,7 +155,8 @@ class Optimizer:
         # memo, so shared subtrees dedupe and are explored once.
         variants = segment_alternatives(rel) \
             if self.config.segment_apply else []
-        return self._optimize_tree(rel, {}, alternatives=variants)
+        costed = self._optimize_tree(rel, {}, alternatives=variants)
+        return CostedPlan(costed.cost, prune_columns(costed.plan))
 
     def heuristic_plan(self, rel: RelationalOp) -> PhysicalOp:
         """A safe plan with no cost-based exploration.
@@ -164,7 +167,7 @@ class Optimizer:
         graceful-degradation target when cost-based optimization fails or
         blows its budget.
         """
-        return self._optimize_tree(rel, {}, explore=False).plan
+        return prune_columns(self._optimize_tree(rel, {}, explore=False).plan)
 
     # -- one memo per tree ------------------------------------------------------
 

@@ -57,46 +57,74 @@ def explain_physical(plan: PhysicalOp) -> str:
     return "\n".join(lines)
 
 
+def _width(columns: Sequence[Column], table_columns: Sequence[Column]) -> str:
+    """``"; k of n columns"`` when a scan or seek reads a subset of its
+    table's ``n`` stored columns, else nothing."""
+    if len(columns) == len(table_columns):
+        return ""
+    return f"; {len(columns)} of {len(table_columns)} columns"
+
+
 class PTableScan(PhysicalOp):
-    """Full scan of a stored table."""
+    """Scan of every row of a stored table, delivering ``columns``.
 
-    __slots__ = ("table_name",)
+    ``table_columns`` are all the stored columns the table's ``Get``
+    produced, in declaration order; ``columns`` is the subset, in the
+    same order, that something above reads (all of them until
+    :func:`~repro.physical.required.prune_columns` has run).  Executors
+    resolve each column to its stored position by name.
+    """
 
-    def __init__(self, table_name: str, columns: Sequence[Column]) -> None:
+    __slots__ = ("table_name", "table_columns")
+
+    def __init__(self, table_name: str, columns: Sequence[Column],
+                 table_columns: Optional[Sequence[Column]] = None) -> None:
         super().__init__(columns)
         self.table_name = table_name
+        self.table_columns = list(table_columns if table_columns is not None
+                                  else columns)
 
     def label(self) -> str:
-        return f"TableScan({self.table_name})"
+        return (f"TableScan({self.table_name}"
+                f"{_width(self.columns, self.table_columns)})")
 
 
 class PIndexSeek(PhysicalOp):
     """Equality lookup into a table index.
 
-    ``key_columns`` name the indexed stored columns (by output column) and
-    ``key_exprs`` compute the probe values — typically references to outer
-    parameters, making this the inner side of an index-lookup join.
-    ``residual`` filters the fetched rows.
+    ``key_columns`` name the indexed stored columns (among
+    ``table_columns``, the table's stored columns as in
+    :class:`PTableScan`) and ``key_exprs`` compute the probe values —
+    typically references to outer parameters, making this the inner side
+    of an index-lookup join.  ``residual`` filters the fetched rows.
+    The fetched rows carry ``columns``, the stored columns something
+    above or the residual reads; a key column need not be one of them.
     """
 
-    __slots__ = ("table_name", "key_columns", "key_exprs", "residual")
+    __slots__ = ("table_name", "key_columns", "key_exprs", "residual",
+                 "table_columns")
 
     def __init__(self, table_name: str, columns: Sequence[Column],
                  key_columns: Sequence[Column],
                  key_exprs: Sequence[ScalarExpr],
-                 residual: Optional[ScalarExpr] = None) -> None:
+                 residual: Optional[ScalarExpr] = None,
+                 table_columns: Optional[Sequence[Column]] = None) -> None:
         super().__init__(columns)
         self.table_name = table_name
         self.key_columns = list(key_columns)
         self.key_exprs = list(key_exprs)
         self.residual = residual
+        self.table_columns = list(table_columns if table_columns is not None
+                                  else columns)
 
     def label(self) -> str:
         keys = ", ".join(
             f"{c!r}={e.sql()}" for c, e in zip(self.key_columns,
                                                self.key_exprs))
         residual = f", residual {self.residual.sql()}" if self.residual else ""
-        return f"IndexSeek({self.table_name}; {keys}{residual})"
+        return (f"IndexSeek({self.table_name}"
+                f"{_width(self.columns, self.table_columns)}; "
+                f"{keys}{residual})")
 
 
 class PConstantScan(PhysicalOp):
@@ -151,6 +179,19 @@ class PProject(PhysicalOp):
         return f"ComputeScalar({len(self.items)} columns)"
 
 
+def join_columns(kind: JoinKind, left: PhysicalOp,
+                 right: PhysicalOp) -> list[Column]:
+    """A two-input join's layout: the left columns, then (unless it
+    emits left rows only) the right ones, nullable under LEFT OUTER."""
+    columns = list(left.columns)
+    if not kind.left_only_output:
+        right_cols = right.columns
+        if kind is JoinKind.LEFT_OUTER:
+            right_cols = [c.with_nullability(True) for c in right_cols]
+        columns += right_cols
+    return columns
+
+
 class PHashJoin(PhysicalOp):
     """Hash join on equality keys, all left-join variants.
 
@@ -165,13 +206,7 @@ class PHashJoin(PhysicalOp):
                  left_keys: Sequence[ScalarExpr],
                  right_keys: Sequence[ScalarExpr],
                  residual: Optional[ScalarExpr] = None) -> None:
-        columns = list(left.columns)
-        if not kind.left_only_output:
-            right_cols = right.columns
-            if kind is JoinKind.LEFT_OUTER:
-                right_cols = [c.with_nullability(True) for c in right_cols]
-            columns = columns + list(right_cols)
-        super().__init__(columns)
+        super().__init__(join_columns(kind, left, right))
         self.kind = kind
         self.left = left
         self.right = right
@@ -197,13 +232,7 @@ class PNestedLoopsJoin(PhysicalOp):
 
     def __init__(self, kind: JoinKind, left: PhysicalOp, right: PhysicalOp,
                  predicate: Optional[ScalarExpr] = None) -> None:
-        columns = list(left.columns)
-        if not kind.left_only_output:
-            right_cols = right.columns
-            if kind is JoinKind.LEFT_OUTER:
-                right_cols = [c.with_nullability(True) for c in right_cols]
-            columns = columns + list(right_cols)
-        super().__init__(columns)
+        super().__init__(join_columns(kind, left, right))
         self.kind = kind
         self.left = left
         self.right = right
@@ -234,13 +263,7 @@ class PNLApply(PhysicalOp):
     def __init__(self, kind: JoinKind, left: PhysicalOp, right: PhysicalOp,
                  predicate: Optional[ScalarExpr] = None,
                  guard: Optional[ScalarExpr] = None) -> None:
-        columns = list(left.columns)
-        if not kind.left_only_output:
-            right_cols = right.columns
-            if kind is JoinKind.LEFT_OUTER:
-                right_cols = [c.with_nullability(True) for c in right_cols]
-            columns = columns + list(right_cols)
-        super().__init__(columns)
+        super().__init__(join_columns(kind, left, right))
         self.kind = kind
         self.left = left
         self.right = right
@@ -474,7 +497,7 @@ def apply_bindings_key(plan: "PNLApply") -> tuple[str, int]:
     return ("apply_bindings", id(plan))
 
 
-def _node_expressions(plan: PhysicalOp) -> list[ScalarExpr]:
+def node_expressions(plan: PhysicalOp) -> list[ScalarExpr]:
     """Every scalar expression ``plan`` itself evaluates."""
     found: list[Optional[ScalarExpr]] = []
     if isinstance(plan, PIndexSeek):
@@ -502,7 +525,7 @@ def outer_references(plan: PhysicalOp) -> frozenset[int]:
     produces: the correlation parameters an enclosing ``PNLApply`` must
     bind before the subtree runs."""
     used: set[int] = set()
-    for expr in _node_expressions(plan):
+    for expr in node_expressions(plan):
         used.update(expr.free_columns().ids())
     produced = {c.cid for c in plan.columns}
     for child in plan.children:

@@ -157,6 +157,13 @@ class PlanCache:
         self._validator = validator
         self._lock = TrackedLock("plancache.entries")
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
+        #: Exact text → ``sql_key`` of the plain queries looked up
+        #: lately, so that a repeated text skips the lexer (see
+        #: :meth:`text_key`).  Written under ``_lock``, read without it;
+        #: at most ``capacity`` texts, the oldest dropped first.  Keys
+        #: only, never token lists (they would keep a statement's worth
+        #: of young objects alive).
+        self._text_keys: dict[str, Hashable] = {}
         self.stats = CacheStats()
         self._stats_lock = TrackedLock("plancache.stats")
 
@@ -203,6 +210,19 @@ class PlanCache:
                 entry.hits += 1
         self._bump("hits")
         return entry
+
+    def text_key(self, sql: str) -> Hashable | None:
+        """The ``sql_key`` remembered for this exact text, if any.  A
+        text's key depends on nothing but the text, so it never goes
+        stale."""
+        return self._text_keys.get(sql)
+
+    def remember_text(self, sql: str, sql_key: Hashable) -> None:
+        with self._lock:
+            texts = self._text_keys
+            texts[sql] = sql_key
+            while len(texts) > self.capacity:
+                del texts[next(iter(texts))]
 
     def put(self, entry: CachedPlan) -> None:
         faultinject.hit("plancache.put")

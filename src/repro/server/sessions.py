@@ -43,7 +43,7 @@ from ..concurrency import TrackedLock
 from ..errors import (SessionClosed, TransactionConflict, TransactionError)
 from ..explain import ExplainOptions, explain_options
 from ..governor import OptimizerBudget, ResourceGovernor
-from ..sql import classify_statement, lex_query
+from ..sql import lex_query
 from ..storage.table import Storage, StorageSnapshot, StoredTable
 
 _session_ids = itertools.count(1)
@@ -256,7 +256,7 @@ class Session:
         view (see :meth:`_read_view`) as the query they explain.
         """
         self._check_open()
-        statement = classify_statement(sql)
+        statement = self._db._statement(sql)
         if statement.matview is not None:
             self._no_ddl_in_txn()
         snapshot, use_matviews = self._read_view(use_matviews)

@@ -53,7 +53,7 @@ class TestDatabaseFacade:
         text = db.explain("select a from t where a > 1")
         assert "-- logical (normalized) --" in text
         assert "-- physical --" in text
-        assert "TableScan(t)" in text
+        assert "TableScan(t; 1 of 2 columns)" in text
 
     def test_explain_naive_mode_logical_only(self, db):
         text = db.explain("select a from t", NAIVE)

@@ -16,7 +16,8 @@ An intentional optimizer change updates the snapshots with::
 
 and the resulting diff documents exactly how the plans moved.  The
 three Figure 4 formulations must additionally collapse to *one*
-signature (paper Section 1.2, syntax independence).
+signature, so their three golden files are byte-identical (paper
+Section 1.2, syntax independence).
 """
 
 import json
@@ -111,24 +112,22 @@ def test_goldens_repeat_under_another_hash_seed():
 
 
 def test_figure4_formulations_converge(golden_db):
-    """Section 1.2: all three formulations produce the same strategy.
-
-    Convergence is up to plan *skeleton* — cosmetic pass-through
-    ComputeScalar wrappers differ between formulations (as in
-    test_syntax_independence), so the full signatures are pinned per
-    formulation by the golden files instead.
-    """
-
-    def skeleton(plan) -> str:
-        text = re.sub(r"#\d+", "#x", repr(plan))
-        return "\n".join(
-            line.strip() for line in text.splitlines()
-            if not line.strip().startswith("ComputeScalar("))
-
-    skeletons = {
-        name: skeleton(golden_db.plan(sql, FULL))
+    """Section 1.2: all three formulations produce the same plan, line
+    for line — required-column pruning leaves no formulation its own
+    stack of ComputeScalar wrappers."""
+    signatures = {
+        name: plan_signature(golden_db.plan(sql, FULL))
         for name, sql in paper_example_formulations().items()}
-    assert len(set(skeletons.values())) == 1, skeletons
+    assert len(set(signatures.values())) == 1, signatures
+
+
+def test_figure4_goldens_are_byte_identical():
+    """Figure 1's claim in its most literal form: the three pinned
+    Figure 4 plans are one file's bytes."""
+    contents = {path.name: path.read_bytes()
+                for path in sorted(GOLDEN_DIR.glob("fig4_*.plan"))}
+    assert len(contents) == 3
+    assert len(set(contents.values())) == 1, sorted(contents)
 
 
 def test_goldens_have_no_strays():

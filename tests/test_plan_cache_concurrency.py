@@ -163,3 +163,43 @@ def test_hammer_feedback_invalidation_never_corrupts_execution():
     # The loop actually fired: plans were flagged stale and discarded.
     assert db.feedback.plans_invalidated > 0
     assert db.plan_cache.stats.feedback_stale > 0
+
+
+def test_hammer_text_keys():
+    """The exact-text front cache is written under the entry lock and
+    read without it: concurrent readers and writers (more threads than
+    cores, a short switch interval) never see a wrong key, never fail,
+    and never leave more texts than the capacity."""
+    import sys
+
+    cache = PlanCache(capacity=8)
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(THREADS)
+    interval = sys.getswitchinterval()
+
+    def worker(seed: int) -> None:
+        try:
+            barrier.wait()
+            for step in range(OPS_PER_THREAD):
+                i = (seed * 7 + step) % 24
+                key = cache.text_key(f"select {i}")
+                if key is None:
+                    cache.remember_text(f"select {i}", ("key", i))
+                elif key != ("key", i):
+                    raise AssertionError((i, key))
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(cache._text_keys) <= 8
