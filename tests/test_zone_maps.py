@@ -73,7 +73,7 @@ def test_pruned_chunks_hold_no_qualifying_row(values, op, literal,
     for unit in store.scan_units():
         if prune(unit.zones, {}):
             assert not any(satisfies(v, oracle_op, literal)
-                           for v in unit.columns()[0]), \
+                           for v in unit.column(0)), \
                 f"pruned a chunk with a qualifying row: {op} {literal!r}"
 
 
@@ -87,7 +87,7 @@ def test_null_pruning_matches_brute_force(values, chunk_rows, negated):
     assert prune is not None
     for unit in store.scan_units():
         if prune(unit.zones, {}):
-            qualifying = [v for v in unit.columns()[0]
+            qualifying = [v for v in unit.column(0)
                           if (v is not None) == negated]
             assert not qualifying
 
@@ -105,7 +105,7 @@ def test_parameter_pruning_resolves_at_run_time(values, op, literal,
     for unit in store.scan_units():
         if prune(unit.zones, params):
             assert not any(satisfies(v, op, literal)
-                           for v in unit.columns()[0])
+                           for v in unit.column(0))
     # Plan-time compilation must refuse parameters: their value is
     # unknown, so no cost discount may depend on them.
     assert compile_zone_filter(conjunct, {column.cid: 0},
@@ -204,7 +204,7 @@ def test_reseal_recomputes_zones():
     table.force_encodings(["rle", "dict"])
     for unit in table.scan_units():
         lo, hi = unit.zones[0].min, unit.zones[0].max
-        values = unit.columns()[0]
+        values = unit.column(0)
         assert lo == min(values) and hi == max(values)
 
 
