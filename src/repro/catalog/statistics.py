@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..concurrency import TrackedLock
 from ..stats_version import (DEFAULT_DRIFT_THRESHOLD, StatsSnapshot,
@@ -250,21 +250,21 @@ class CorrectionStore:
 
 
 def compute_table_stats(column_names: Sequence[str],
-                        rows: Sequence[tuple],
+                        columns: Iterable[Sequence[Any]], row_count: int,
                         histogram_buckets: int = 16) -> TableStats:
-    """Compute full statistics by scanning all rows."""
-    row_count = len(rows)
-    columns: dict[str, ColumnStats] = {}
-    for position, name in enumerate(column_names):
-        values = [row[position] for row in rows]
+    """Compute full statistics from ``columns``, one value sequence per
+    name in ``column_names``, consumed one at a time (a lazy iterable
+    holds one column's values at once)."""
+    stats: dict[str, ColumnStats] = {}
+    for name, values in zip(column_names, columns):
         non_null = [v for v in values if v is not None]
         distinct = len(set(non_null))
         min_value = min(non_null) if non_null else None
         max_value = max(non_null) if non_null else None
-        columns[name] = ColumnStats(
+        stats[name] = ColumnStats(
             distinct_count=distinct,
             null_count=row_count - len(non_null),
             min_value=min_value,
             max_value=max_value,
             histogram=build_histogram(non_null, histogram_buckets))
-    return TableStats(row_count, columns)
+    return TableStats(row_count, stats)

@@ -21,20 +21,26 @@ from ...algebra import (And, Apply, ColumnRef, Comparison, ConstantScan,
                         UnionAll, conjuncts)
 from ...catalog.statistics import CorrectionStore, TableStats
 
-_CID_SUFFIX = re.compile(r"#\d+")
+#: A quoted string literal (group 1, kept whole: ``'Brand#12'`` is
+#: data) or the ``#cid`` suffix of a rendered column reference.
+_CID_SUFFIX = re.compile(r"('(?:[^']|'')*')|#\d+")
+
+
+def _strip_cid(match: "re.Match[str]") -> str:
+    return match.group(1) or ""
 
 
 def predicate_fingerprint(predicate) -> str:
     """A fingerprint of a predicate stable across compilations.
 
     Column ids are assigned fresh at every bind, so the rendered
-    ``name#cid`` forms are normalized down to bare column names and the
-    conjuncts sorted — the same WHERE clause fingerprints identically
-    however often the statement is re-planned, which is what lets a
-    runtime correction recorded during one execution be found by the
-    optimizer during the next.
+    ``name#cid`` forms are normalized down to bare column names (string
+    literals are left as they are) and the conjuncts sorted — the same
+    WHERE clause fingerprints identically however often the statement
+    is re-planned, which is what lets a runtime correction recorded
+    during one execution be found by the optimizer during the next.
     """
-    parts = sorted(_CID_SUFFIX.sub("", part.sql())
+    parts = sorted(_CID_SUFFIX.sub(_strip_cid, part.sql())
                    for part in conjuncts(predicate))
     return " AND ".join(parts)
 

@@ -773,7 +773,7 @@ class Database:
 
     def _row_count(self, table_name: str) -> int:
         try:
-            return len(self.storage.get(table_name).rows)
+            return len(self.storage.get(table_name))
         except ReproError:
             return 0
 

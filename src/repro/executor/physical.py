@@ -9,8 +9,8 @@ of ``PNLApply``, which re-opens per outer row).
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
-from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from .. import faultinject
@@ -170,23 +170,20 @@ class PhysicalExecutor:
 
     def _prepare_PTableScan(self, plan: PTableScan) -> _Executable:
         name = plan.table_name
-        project = row_projector(self._storage.get(name), plan.columns)
+        which = self._storage.get(name).positions(plan.columns)
 
         def rows(ctx: ExecutionContext) -> Iterator[tuple]:
-            table = ctx.storage.get(name)
+            scanned = ctx.storage.get(name).row_view(which)
             governor = ctx.governor
             if governor is None:
-                scanned = iter(table.rows)
-            else:
-                scanned = governor.guard_scan(table.rows)
-            return scanned if project is None else map(project, scanned)
+                return iter(scanned)
+            return governor.guard_scan(scanned)
         return _Executable(rows)
 
     def _prepare_PIndexSeek(self, plan: PIndexSeek) -> _Executable:
         resolve = index_resolver(self._storage, plan,
                                  lambda expr: compile_expr(expr, {}))
-        project = row_projector(self._storage.get(plan.table_name),
-                                plan.columns)
+        which = self._storage.get(plan.table_name).positions(plan.columns)
         residual = (compile_expr(plan.residual, build_layout(plan.columns))
                     if plan.residual is not None else None)
         empty = ()
@@ -199,9 +196,9 @@ class PhysicalExecutor:
                 tuple([fn(empty, params) for fn in key_fns]))
             if governor is not None and positions:
                 governor.consume_rows(len(positions))
-            fetched = table.rows_at(positions)
-            for row in (fetched if project is None
-                        else map(project, fetched)):
+            columns = table.columns_at(positions, which)
+            for row in (zip(*columns) if columns
+                        else itertools.repeat((), len(positions))):
                 if residual is None or residual(row, params) is True:
                     yield row
         return _Executable(rows)
@@ -500,7 +497,6 @@ class PhysicalExecutor:
         offset = plan.offset
 
         def rows(ctx: ExecutionContext) -> Iterator[tuple]:
-            import itertools
             return itertools.islice(child.rows(ctx), offset,
                                     offset + count)
         return _Executable(rows)
@@ -608,22 +604,6 @@ class PhysicalExecutor:
                 if governor is not None:
                     governor.release_rows(held)
         return _Executable(rows)
-
-
-def row_projector(table, columns: Sequence[Column]
-                  ) -> Callable[[tuple], tuple] | None:
-    """The function from a stored row of ``table`` to a row of
-    ``columns`` (a scan's or seek's column subset, resolved by name), or
-    ``None`` when stored rows already are such rows."""
-    positions = table.positions(columns)
-    if positions == list(range(len(table.definition.columns))):
-        return None
-    if len(positions) == 1:  # itemgetter would return the bare value
-        position = positions[0]
-        return lambda row: (row[position],)
-    if not positions:
-        return lambda row: ()
-    return itemgetter(*positions)
 
 
 def index_resolver(storage: Storage, plan: PIndexSeek,

@@ -31,17 +31,19 @@ satisfy the conjunct** under SQL three-valued semantics.  The rules:
 * ``IS NULL`` skips iff ``null_count == 0``; ``IS NOT NULL`` skips iff
   ``null_count == nrows``.
 
-Sealed chunks cache their decoded columns and their row pivot *per
-chunk*, so appends to the tail never invalidate cold chunks, and clones
-(:meth:`ColumnStore.clone`) share sealed chunks — and their caches —
-outright.
+Columns are the one in-memory form of the data: sealed chunks cache
+their decoded columns *per chunk*, so appends to the tail never
+invalidate cold chunks, and clones (:meth:`ColumnStore.clone`) share
+sealed chunks — and their decoded columns — outright.  Row tuples are
+built on demand by readers, only for the columns they read
+(:class:`~repro.storage.table.RowView`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from operator import getitem, sub
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .. import faultinject
 from ..algebra.scalar import (Comparison, ColumnRef, IsNull, Literal,
@@ -236,12 +238,12 @@ def encode_column(values: Sequence[Any],
 class ColumnChunk:
     """One sealed, immutable horizontal slice of a table.
 
-    Decoded columns and the row pivot are cached per chunk — the caches
-    are derived, idempotent state, so sharing a chunk between table
-    versions (and rebuilding a cache concurrently) is benign.
+    Decoded columns are cached per chunk — the cache is derived,
+    idempotent state, so sharing a chunk between table versions (and
+    decoding a column concurrently) is benign.
     """
 
-    __slots__ = ("encoded", "zones", "nrows", "_decoded", "_rows")
+    __slots__ = ("encoded", "zones", "nrows", "_decoded")
 
     def __init__(self, encoded: tuple, zones: "tuple[ZoneMap, ...]",
                  nrows: int) -> None:
@@ -249,7 +251,6 @@ class ColumnChunk:
         self.zones = zones
         self.nrows = nrows
         self._decoded: list[Optional[list]] = [None] * len(encoded)
-        self._rows: Optional[list[tuple]] = None
 
     @property
     def encodings(self) -> tuple[str, ...]:
@@ -266,15 +267,6 @@ class ColumnChunk:
 
     def columns(self) -> list[list[Any]]:
         return [self.column(i) for i in range(len(self.encoded))]
-
-    def rows(self) -> list[tuple]:
-        """The chunk pivoted to row tuples (cached)."""
-        rows = self._rows
-        if rows is None:
-            columns = self.columns()
-            rows = list(zip(*columns)) if columns else []
-            self._rows = rows
-        return rows
 
 
 def seal_chunk(columns: Sequence[Sequence[Any]], nrows: int,
@@ -322,16 +314,15 @@ class ColumnStore:
     """Sealed chunks plus a mutable tail, for one table version.
 
     Appends go to per-column tail lists; reaching ``chunk_rows`` seals
-    the tail into a :class:`ColumnChunk` (choosing encodings).  All
-    derived tail state (zone maps, the row pivot, the scan unit) is
-    cached keyed by the tail length, so it survives reads and is
+    the tail into a :class:`ColumnChunk` (choosing encodings).  The
+    tail's scan unit (a copy of its columns plus zone maps) is cached
+    keyed by the tail length, so it survives reads and is
     invalidated by the next append — installed versions never append,
     which makes their caches permanent.
     """
 
     __slots__ = ("ncols", "chunk_rows", "chunks", "_starts", "_sealed_rows",
-                 "_uniform", "_tail", "_tail_len", "_tail_unit",
-                 "_tail_rows")
+                 "_uniform", "_tail", "_tail_len", "_tail_unit")
 
     def __init__(self, ncols: int,
                  chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
@@ -349,7 +340,6 @@ class ColumnStore:
         self._tail: list[list[Any]] = [[] for _ in range(ncols)]
         self._tail_len = 0
         self._tail_unit: Optional[tuple[int, ScanUnit]] = None
-        self._tail_rows: Optional[tuple[int, list[tuple]]] = None
 
     def __len__(self) -> int:
         return self._sealed_rows + self._tail_len
@@ -376,7 +366,6 @@ class ColumnStore:
         self._tail = [[] for _ in range(self.ncols)]
         self._tail_len = 0
         self._tail_unit = None
-        self._tail_rows = None
 
     def force_encodings(self, kinds: Sequence[str]) -> None:
         """Re-seal every chunk (tail included) with fixed per-column
@@ -407,17 +396,6 @@ class ColumnStore:
         self._tail_unit = (nrows, unit)
         return unit
 
-    def _tail_rows_now(self) -> list[tuple]:
-        nrows = self._tail_len
-        if nrows == 0:
-            return []
-        cached = self._tail_rows
-        if cached is not None and cached[0] == nrows:
-            return cached[1]
-        rows = list(zip(*(column[:nrows] for column in self._tail)))
-        self._tail_rows = (nrows, rows)
-        return rows
-
     def scan_units(self) -> list[ScanUnit]:
         """Every chunk as a scan unit, in row-position order."""
         units = [ScanUnit(chunk.zones, chunk.nrows, chunk=chunk)
@@ -427,52 +405,12 @@ class ColumnStore:
             units.append(tail)
         return units
 
-    def row(self, position: int) -> tuple:
-        if position < self._sealed_rows:
-            index = bisect_right(self._starts, position) - 1
-            chunk = self.chunks[index]
-            return chunk.rows()[position - self._starts[index]]
-        offset = position - self._sealed_rows
-        if offset >= self._tail_len:
-            raise IndexError("row position out of range")
-        return self._tail_rows_now()[offset]
-
-    def rows_at(self, positions: Sequence[int]) -> list[tuple]:
-        """The row tuples at ``positions``, in that order — the batched
-        index seek's gather.  Chunk pivots are resolved once per call
-        instead of once per row (:meth:`row` bisects every time)."""
-        sealed = self._sealed_rows
-        chunks = self.chunks
-        out: list[tuple] = []
-        append = out.append
-        pivots: list = [None] * len(chunks)
-        size = self.chunk_rows
-        uniform = self._uniform
-        starts = self._starts
-        tail: Optional[list[tuple]] = None
-        for position in positions:
-            if position >= sealed:
-                if tail is None:
-                    tail = self._tail_rows_now()
-                append(tail[position - sealed])
-                continue
-            if uniform:
-                index, offset = divmod(position, size)
-            else:
-                index = bisect_right(starts, position) - 1
-                offset = position - starts[index]
-            rows = pivots[index]
-            if rows is None:
-                rows = pivots[index] = chunks[index].rows()
-            append(rows[offset])
-        return out
-
     def columns_at(self, positions: Sequence[int],
                    which: Sequence[int]) -> list[list[Any]]:
         """The values of columns ``which`` at row ``positions``, one list
-        per column, in ``positions`` order — the batched index seek's
-        gather, straight from the decoded chunk columns (no row pivot,
-        nothing cached beyond the chunks' own decoded columns).  Each
+        per column, in ``positions`` order — the index seeks' and the row
+        façade's gather, straight from the decoded chunk columns (nothing
+        cached beyond the chunks' own decoded columns).  Each
         position is located once, for all of ``which``, and every value
         is then fetched by C-level maps."""
         chunks = self.chunks
@@ -512,13 +450,6 @@ class ColumnStore:
                                 offset)))
         return out
 
-    def iter_rows(self) -> Iterator[tuple]:
-        for chunk in self.chunks:
-            yield from chunk.rows()
-        tail = self._tail_rows_now()
-        if tail:
-            yield from tail
-
     def columns(self, which: Sequence[int]) -> list[list[Any]]:
         """The whole table pivoted columnar: fresh concatenated lists, of
         the columns at positions ``which``."""
@@ -535,8 +466,8 @@ class ColumnStore:
     # -- versioning -------------------------------------------------------------
 
     def clone(self) -> "ColumnStore":
-        """A copy-on-write successor: sealed chunks (and their decode /
-        pivot caches) are shared, tail lists are copied."""
+        """A copy-on-write successor: sealed chunks (and their decoded
+        columns) are shared, tail lists are copied."""
         new = ColumnStore.__new__(ColumnStore)
         new.ncols = self.ncols
         new.chunk_rows = self.chunk_rows
@@ -547,7 +478,6 @@ class ColumnStore:
         new._tail = [list(column) for column in self._tail]
         new._tail_len = self._tail_len
         new._tail_unit = self._tail_unit
-        new._tail_rows = self._tail_rows
         return new
 
 

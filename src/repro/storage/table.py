@@ -4,12 +4,15 @@ Data lives natively in a :class:`~repro.storage.columnar.ColumnStore` —
 sealed, encoded column chunks with zone maps plus a mutable tail (see
 :mod:`repro.storage.columnar`).  Logically, rows are still Python tuples
 in declaration order: :attr:`StoredTable.rows` is a :class:`RowView`
-sequence façade over the store, so the tuple/naive engines, the WAL and
-checkpoint codecs, and the index machinery keep operating on tuples
-while the vectorized engine scans the chunks directly
-(:meth:`StoredTable.scan_units`).  The store validates types and NOT
-NULL constraints on insert, enforces primary/unique keys through hash
-indexes, and maintains any secondary indexes declared in the catalog.
+sequence façade that builds them from the columns on demand, so the
+naive engine, the checkpoint image, view maintenance and the index
+machinery keep operating on tuples while the tuple engine builds tuples
+of only the columns a plan reads (:meth:`StoredTable.row_view`,
+:meth:`StoredTable.columns_at`) and the vectorized engine scans the
+chunks directly (:meth:`StoredTable.scan_units`).  The store validates
+types and NOT NULL constraints on insert, enforces primary/unique keys
+through hash indexes, and maintains any secondary indexes declared in
+the catalog.
 
 Concurrency model (the substrate of :mod:`repro.server` snapshot
 isolation): a :class:`StoredTable` is one *version* of a table's data.
@@ -26,6 +29,7 @@ writers commit after them.
 from __future__ import annotations
 
 from collections import abc
+from itertools import chain, repeat
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .. import faultinject
@@ -45,37 +49,50 @@ AUTOCOMMIT_LOCK_TIMEOUT = 30.0
 
 
 class RowView(abc.Sequence):
-    """A read-only tuple-sequence façade over a :class:`ColumnStore`.
+    """A read-only sequence of row tuples over a :class:`ColumnStore`:
+    the values of the stored columns at positions ``which``.
 
-    Everything that used to consume ``StoredTable.rows`` as a plain list
-    — engine scans, index rebuilds, checkpoint/WAL codecs, statistics —
-    keeps working: iteration, ``len``, integer indexing, slicing and
-    element-wise equality against lists/tuples all behave like the row
-    list did.
+    Nothing is cached — iteration zips one scan unit's decoded columns
+    at a time and indexing gathers through
+    :meth:`ColumnStore.columns_at` — so a reader builds tuples of only
+    the columns it reads (a view of no columns yields ``()`` per row).
+    :attr:`StoredTable.rows` is the view of every column; iteration,
+    ``len``, integer indexing, slicing and element-wise equality against
+    lists/tuples behave like a list of row tuples.
     """
 
-    __slots__ = ("_store",)
+    __slots__ = ("_store", "_which")
 
-    def __init__(self, store: ColumnStore) -> None:
+    def __init__(self, store: ColumnStore, which: Sequence[int]) -> None:
         self._store = store
+        self._which = list(which)
 
     def __len__(self) -> int:
         return len(self._store)
 
     def __iter__(self) -> Iterator[tuple]:
-        return self._store.iter_rows()
+        which = self._which
+        units = self._store.scan_units()
+        if not which:
+            return chain.from_iterable(repeat((), unit.nrows)
+                                       for unit in units)
+        return chain.from_iterable(zip(*[unit.column(p) for p in which])
+                                   for unit in units)
+
+    def _gather(self, positions: Sequence[int]) -> list[tuple]:
+        columns = self._store.columns_at(positions, self._which)
+        return list(zip(*columns)) if columns else [()] * len(positions)
 
     def __getitem__(self, item):
-        store = self._store
+        count = len(self._store)
         if isinstance(item, slice):
-            return [store.row(i)
-                    for i in range(*item.indices(len(store)))]
+            return self._gather(range(*item.indices(count)))
         index = item.__index__()
         if index < 0:
-            index += len(store)
-        if not 0 <= index < len(store):
+            index += count
+        if not 0 <= index < count:
             raise IndexError("row index out of range")
-        return store.row(index)
+        return self._gather((index,))[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, tuple, RowView)):
@@ -101,7 +118,6 @@ class StoredTable:
                  chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
         self.definition = definition
         self._store = ColumnStore(len(definition.columns), chunk_rows)
-        self._row_view = RowView(self._store)
         self._indexes: dict[str, Any] = {}
         self._key_indexes: list[Any] = []
         self._stats_cache: TableStats | None = None
@@ -112,8 +128,13 @@ class StoredTable:
 
     @property
     def rows(self) -> RowView:
-        """The table as a sequence of row tuples (the row façade)."""
-        return self._row_view
+        """The table as a sequence of whole row tuples (the row façade)."""
+        return self.row_view(range(len(self.definition.columns)))
+
+    def row_view(self, which: Sequence[int]) -> RowView:
+        """The table as row tuples of the stored columns at positions
+        ``which`` only (a scan's column subset)."""
+        return RowView(self._store, which)
 
     # -- mutation ---------------------------------------------------------------
 
@@ -189,15 +210,6 @@ class StoredTable:
 
     # -- access -----------------------------------------------------------------
 
-    def scan(self) -> Iterator[tuple]:
-        return self._store.iter_rows()
-
-    def rows_at(self, positions: Sequence[int]) -> list[tuple]:
-        """The row tuples at ``positions`` (index-lookup results), in
-        that order — one call per probe batch instead of one façade
-        ``rows[p]`` per row."""
-        return self._store.rows_at(positions)
-
     def positions(self, columns: Sequence[Column]) -> list[int]:
         """The stored position of each of ``columns`` (a scan's or seek's
         column subset), resolved by name — every engine's one way from a
@@ -272,8 +284,8 @@ class StoredTable:
     def clone(self) -> "StoredTable":
         """An independent copy-on-write successor of this version.
 
-        Sealed chunks are shared outright (they are immutable, decode /
-        pivot caches included); the mutable tail and the ordered-index
+        Sealed chunks are shared outright (they are immutable, decoded
+        columns included); the mutable tail and the ordered-index
         entry lists are copied, and hash indexes copy only the keys
         changed since their last fold, so inserts into the clone are
         invisible to readers of this version.  Statistics are shared
@@ -282,7 +294,6 @@ class StoredTable:
         new = StoredTable.__new__(StoredTable)
         new.definition = self.definition
         new._store = self._store.clone()
-        new._row_view = RowView(new._store)
         new._indexes = {name: index.clone()
                         for name, index in self._indexes.items()}
         new._key_indexes = [index.clone() for index in self._key_indexes]
@@ -293,8 +304,10 @@ class StoredTable:
 
     def statistics(self) -> TableStats:
         if self._stats_cache is None:
+            names = self.definition.column_names
             self._stats_cache = compute_table_stats(
-                self.definition.column_names, self.rows)
+                names, (self.columns([p])[0] for p in range(len(names))),
+                len(self))
         return self._stats_cache
 
 

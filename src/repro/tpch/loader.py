@@ -72,7 +72,7 @@ def dump_tbl(db: Database, directory: str | Path,
             for row in stored.rows:
                 handle.write("|".join(_format_field(v) for v in row))
                 handle.write("|\n")
-        counts[name] = len(stored.rows)
+        counts[name] = len(stored)
     return counts
 
 

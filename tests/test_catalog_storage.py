@@ -75,7 +75,7 @@ class TestStoredTable:
         table = StoredTable(people_def())
         table.insert((1, "alice", 30))
         table.insert({"id": 2, "name": "bob"})
-        assert list(table.scan()) == [(1, "alice", 30), (2, "bob", None)]
+        assert list(table.rows) == [(1, "alice", 30), (2, "bob", None)]
 
     def test_not_null_enforced(self):
         table = StoredTable(people_def())
@@ -204,7 +204,7 @@ class TestStorage:
 
 class TestStatisticsHelpers:
     def test_compute_table_stats_empty(self):
-        stats = compute_table_stats(["a"], [])
+        stats = compute_table_stats(["a"], [[]], 0)
         assert stats.row_count == 0
         assert stats.column("a").distinct_count == 0
 
@@ -219,11 +219,11 @@ class TestStatisticsHelpers:
         return Estimator(lambda name: stats).estimate(select).rows
 
     def test_selectivity_equals(self):
-        stats = compute_table_stats(["a"], [(1,), (2,), (2,), (None,)])
+        stats = compute_table_stats(["a"], [[1, 2, 2, None]], 4)
         assert self._estimated_rows(stats, "=", 2) == pytest.approx(4 / 2)
 
     def test_selectivity_range(self):
-        stats = compute_table_stats(["a"], [(i,) for i in range(101)])
+        stats = compute_table_stats(["a"], [list(range(101))], 101)
         assert self._estimated_rows(stats, "<", 50) == \
             pytest.approx(0.5 * 101, abs=1.01)
         assert self._estimated_rows(stats, ">", 75) == \

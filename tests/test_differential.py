@@ -34,6 +34,7 @@ from repro.executor.physical import ExecutionContext, PhysicalExecutor
 from repro.feedback import tree_dict
 from repro.governor import ResourceGovernor
 from repro.physical.plan import PTopN, explain_physical
+from repro.storage.columnar import DEFAULT_CHUNK_ROWS
 from repro.tpch import (QUERIES, create_tpch_schema, generate_tpch,
                         paper_example_formulations)
 
@@ -436,8 +437,9 @@ APPLY_SHAPES = {
 }
 
 
-def apply_db(t_rows, s_rows, batch_size, index_kind) -> Database:
-    db = Database(batch_size=batch_size)
+def apply_db(t_rows, s_rows, batch_size, index_kind,
+             chunk_rows=DEFAULT_CHUNK_ROWS) -> Database:
+    db = Database(batch_size=batch_size, chunk_rows=chunk_rows)
     db.create_table("t", [("id", DataType.INTEGER, False),
                           ("grp", DataType.INTEGER, True),
                           ("val", DataType.INTEGER, True),

@@ -19,9 +19,12 @@ from hypothesis import given, settings
 from repro import (FULL, NAIVE, Database, DataType, ExplainOptions,
                    QueryResult, QueryServer, QueryStats, ServerClient,
                    SqlSyntaxError, q_error)
+from repro.binder import Binder
 from repro.catalog.statistics import (CardinalityCorrection,
                                       CorrectionStore)
+from repro.core.optimizer.cardinality import predicate_fingerprint
 from repro.faultinject import fail_always, fail_at
+from repro.sql import parse
 from repro.stats_version import capture
 
 from tests.test_differential import (build_db, query, s_rows_strategy,
@@ -105,6 +108,35 @@ class TestCorrectionStore:
         assert len(store) == 1
         assert store.invalidate() == 1
         assert len(store) == 0
+
+
+class TestPredicateFingerprint:
+    """Corrections are keyed by the fingerprint, so it must tell apart
+    what differs in data and nothing that differs per bind."""
+
+    @staticmethod
+    def where_clause(sql):
+        db = Database()
+        db.create_table("part", [("p_brand", DataType.VARCHAR, False),
+                                 ("p_size", DataType.INTEGER, False)])
+        rel = Binder(db.catalog).bind(parse(sql)).rel
+        return rel.children[0].predicate
+
+    def test_hash_digits_inside_string_literals_are_kept(self):
+        sql = "select p_size from part where p_brand = '{}'"
+        b12 = predicate_fingerprint(self.where_clause(sql.format("Brand#12")))
+        b23 = predicate_fingerprint(self.where_clause(sql.format("Brand#23")))
+        assert b12 == "p_brand = 'Brand#12'"
+        assert b12 != b23
+
+    def test_one_text_bound_twice_fingerprints_equal(self):
+        sql = ("select p_size from part where p_size > 3 "
+               "and p_brand = 'it''s #7'")
+        first, second = self.where_clause(sql), self.where_clause(sql)
+        assert first.sql() != second.sql()  # fresh column ids
+        assert predicate_fingerprint(first) == predicate_fingerprint(second)
+        assert predicate_fingerprint(first) == \
+            "p_brand = 'it''s #7' AND p_size > 3"
 
 
 # -- the feedback loop through Database.execute --------------------------------

@@ -68,8 +68,8 @@ class TestEstimatorUsesHistogram:
     def test_skewed_range_estimate(self):
         """With 90% of values at 0, 'col > 0' must estimate ~10%, which
         uniform min/max interpolation would put at ~100%."""
-        rows = [(0,)] * 900 + [(i,) for i in range(1, 101)]
-        stats = compute_table_stats(["v"], rows)
+        values = [0] * 900 + list(range(1, 101))
+        stats = compute_table_stats(["v"], [values], len(values))
 
         v = Column("v", DataType.INTEGER, nullable=False)
         get = Get("t", [v], [])
@@ -78,8 +78,7 @@ class TestEstimatorUsesHistogram:
         assert estimate.rows == pytest.approx(100, rel=0.5)
 
     def test_out_of_range_probe(self):
-        rows = [(i,) for i in range(100)]
-        stats = compute_table_stats(["v"], rows)
+        stats = compute_table_stats(["v"], [list(range(100))], 100)
         v = Column("v", DataType.INTEGER, nullable=False)
         get = Get("t", [v], [])
         below_all = Select(get, Comparison("<", ColumnRef(v), Literal(-5)))
@@ -89,8 +88,8 @@ class TestEstimatorUsesHistogram:
         assert estimator.estimate(above_all).rows == pytest.approx(0.0)
 
     def test_null_fraction_respected(self):
-        rows = [(i,) for i in range(50)] + [(None,)] * 50
-        stats = compute_table_stats(["v"], rows)
+        values = list(range(50)) + [None] * 50
+        stats = compute_table_stats(["v"], [values], len(values))
         v = Column("v", DataType.INTEGER, nullable=True)
         get = Get("t", [v], [])
         sel = Select(get, Comparison(">=", ColumnRef(v), Literal(0)))

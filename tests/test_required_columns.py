@@ -4,7 +4,7 @@ The required-columns pass (:mod:`repro.physical.required`) narrows the
 chosen plan: scans and seeks read a subset of the stored columns, and
 projections compute only what is read.  Every engine runs the pruned
 plan — the vectorized engine takes only the chunk columns a scan names,
-the tuple engine projects its scanned and fetched rows — so each shape
+the tuple engine builds tuples of only those columns — so each shape
 below prunes in a way both must honour.  At batch sizes 1, 3 and 1024
 the tuple and vectorized engines agree on the rows or the error class
 under every mode, and naive agrees wherever both return rows (the rule
@@ -89,6 +89,27 @@ SHAPES = {
 }
 
 
+#: The tuple engine's rows, order included, for the shapes whose scans
+#: and seeks read zero, one or several stored columns, over chunks of 4
+#: rows (``t`` ends in a one-row tail).
+PINNED_TUPLE_ROWS = {
+    "count_star": [(9,)],
+    "select_one": [(1,)] * 9,
+    "exists_seek": [(1,), (2,), (4,), (5,), (6,), (7,), (9,)],
+    "semi_seek_residual_only": [(1,), (2,), (5,), (9,)],
+    "one_column_scan": [(2,), (2,), (2,), (2,)],
+    "one_column_seek": [(1, 8), (2, 8), (3, None), (4, 2), (5, 8), (6, 4),
+                        (7, 2), (8, None), (9, 8)],
+    "exists_scan": [(1,), (2,), (3,), (5,), (6,), (7,), (9,)],
+    "in_seek": [(7,)],
+    "seek_residual_unread_above": [(1, 1), (2, 1), (3, None), (4, None),
+                                   (5, 1), (6, None), (7, None), (8, None),
+                                   (9, 1)],
+    "except_all": [(2, 0), (2, 1), (0, 0), (None, 1), (2, 0), (2, None),
+                   (0, 1)],
+}
+
+
 def assert_agree(db: Database, sql: str) -> None:
     """Tuple = vectorized (rows or error class) under every mode; naive
     wherever it and the tuple engine both return rows; and, where the
@@ -115,6 +136,10 @@ def test_pruned_shapes_agree(name):
         assert shown in explain_physical(db.prepare(sql, mode).plan), name
         assert_agree(db, sql)
     assert_agree(apply_db([], [], 3, "hash"), sql)
+    if name in PINNED_TUPLE_ROWS:
+        db = apply_db(T_ROWS, S_ROWS, 3, "hash", chunk_rows=4)
+        assert db.execute(sql, mode, engine="tuple").rows == \
+            PINNED_TUPLE_ROWS[name], name
 
 
 def test_union_all_prunes_the_same_positions_in_every_input():
