@@ -90,7 +90,18 @@ def _derive_keys_raw(rel: RelationalOp) -> list[frozenset[int]]:
         if rel.kind.left_only_output:
             return left_keys
         right_keys = derive_keys(rel.right)
-        return [lk | rk for lk in left_keys for rk in right_keys]
+        keys = [lk | rk for lk in left_keys for rk in right_keys]
+        # A side each of whose rows matches at most one row of the other
+        # (the predicate equates a key of the other side to its columns:
+        # a foreign-key join) keeps its own keys.  Under LEFT OUTER only
+        # the preserved side does; padded rows repeat NULLs on the other.
+        if rel.predicate is not None:
+            if _equates_a_key(rel.predicate, rel.left, right_keys):
+                keys.extend(left_keys)
+            if rel.kind is JoinKind.INNER and \
+                    _equates_a_key(rel.predicate, rel.right, left_keys):
+                keys.extend(right_keys)
+        return keys
 
     if isinstance(rel, Apply):
         left_keys = derive_keys(rel.left)
@@ -117,6 +128,26 @@ def _derive_keys_raw(rel: RelationalOp) -> list[frozenset[int]]:
         return []
 
     return []
+
+
+def _equates_a_key(predicate: ScalarExpr, side: RelationalOp,
+                   other_keys: list[frozenset[int]]) -> bool:
+    """Whether ``predicate`` equates every column of one of the other
+    join input's keys to a column of ``side``."""
+    if not other_keys:
+        return False
+    mine = frozenset(c.cid for c in side.output_columns())
+    pinned: set[int] = set()
+    for part in conjuncts(predicate):
+        if isinstance(part, Comparison) and part.op == "=" and \
+                isinstance(part.left, ColumnRef) and \
+                isinstance(part.right, ColumnRef):
+            a, b = part.left.column.cid, part.right.column.cid
+            if a in mine and b not in mine:
+                pinned.add(b)
+            elif b in mine and a not in mine:
+                pinned.add(a)
+    return any(key <= pinned for key in other_keys)
 
 
 def has_key(rel: RelationalOp) -> bool:

@@ -20,6 +20,7 @@ definitely illegal.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 from ..algebra.properties import (derive_fds, derive_keys,
@@ -28,7 +29,7 @@ from ..algebra.properties import (derive_fds, derive_keys,
 from ..algebra.relational import (Apply, Difference, GroupBy, Join,
                                   JoinKind, Project, RelationalOp, Select,
                                   UnionAll, _GroupByBase)
-from ..algebra.scalar import Case
+from ..algebra.scalar import Case, conjuncts
 from .issues import AnalysisIssue
 
 RuleCheck = Callable[[RelationalOp, RelationalOp], list[AnalysisIssue]]
@@ -107,22 +108,29 @@ def check_groupby_push_below_join(before: RelationalOp,
                 f"aggregate {call.sql()} reads columns of the preserved "
                 f"side", before.label()))
 
+    fds = derive_fds(preserved).copy()
+    fds.add_all(derive_fds(aggregated))
+    if join.predicate is not None:
+        _add_predicate_fds(fds, join.predicate)
+
     # Condition: a key of the preserved side is among the grouping
-    # columns (otherwise the join duplicates pre-aggregated rows).
-    if not any(key <= group_ids for key in derive_keys(preserved)):
+    # columns, or, under an inner join (no NULL padding), pinned per
+    # group by them through functional dependencies (otherwise the join
+    # duplicates pre-aggregated rows).
+    keys = derive_keys(preserved)
+    if not any(key <= group_ids for key in keys) and not (
+            join.kind is JoinKind.INNER
+            and any(fds.determines(group_ids, key) for key in keys)):
         issues.append(_issue(
             "groupby.push-no-key",
-            "no key of the preserved side is contained in the grouping "
-            "columns", before.label()))
+            "no key of the preserved side is contained in (or, under an "
+            "inner join, determined by) the grouping columns",
+            before.label()))
 
     # Condition: aggregated-side predicate columns are grouped, or pinned
     # per group through functional dependencies.
     extra = (_predicate_ids(join) & agg_ids) - group_ids
     if extra:
-        fds = derive_fds(preserved).copy()
-        fds.add_all(derive_fds(aggregated))
-        if join.predicate is not None:
-            _add_predicate_fds(fds, join.predicate)
         if not fds.determines(group_ids, extra):
             names = ", ".join(f"#{cid}" for cid in sorted(extra))
             issues.append(_issue(
@@ -294,8 +302,57 @@ def check_semijoin_to_join_distinct(before: RelationalOp,
     return issues
 
 
+# ---------------------------------------------------------------------------
+# Join enumeration
+# ---------------------------------------------------------------------------
+
+def _inner_join_cluster(rel: RelationalOp, leaves: Counter,
+                        parts: Counter) -> None:
+    """Leaves and conjuncts of the tree of inner joins (and pass-through
+    projections) at ``rel``."""
+    if isinstance(rel, Project) and rel.is_pure_passthrough():
+        _inner_join_cluster(rel.child, leaves, parts)
+    elif isinstance(rel, Join) and rel.kind is JoinKind.INNER:
+        _inner_join_cluster(rel.left, leaves, parts)
+        _inner_join_cluster(rel.right, leaves, parts)
+        if rel.predicate is not None:
+            parts.update(conjuncts(rel.predicate))
+    else:
+        leaves[id(rel)] += 1
+
+
+def check_join_enumerate(before: RelationalOp,
+                         after: RelationalOp) -> list[AnalysisIssue]:
+    """An enumerated join order reads the same leaves under the same
+    conjuncts as the cluster it was enumerated from (the ordered output
+    is checked for every rule)."""
+    issues: list[AnalysisIssue] = []
+    found = []
+    for rel in (before, after):
+        leaves: Counter = Counter()
+        parts: Counter = Counter()
+        _inner_join_cluster(rel, leaves, parts)
+        found.append((leaves, parts))
+    (leaves_before, parts_before), (leaves_after, parts_after) = found
+    if leaves_before != leaves_after:
+        issues.append(_issue(
+            "join.leaves-changed",
+            "the enumerated join does not read the cluster's leaves "
+            "exactly once each", after.label()))
+    if parts_before != parts_after:
+        missing = ", ".join(p.sql() for p in parts_before - parts_after)
+        extra = ", ".join(p.sql() for p in parts_after - parts_before)
+        issues.append(_issue(
+            "join.conjuncts-changed",
+            f"the enumerated join's conjuncts differ from the cluster's "
+            f"(missing: {missing or '-'}; extra: {extra or '-'})",
+            after.label()))
+    return issues
+
+
 #: Rule-name-keyed legality re-checks, consulted per application.
 RULE_CHECKS: dict[str, RuleCheck] = {
+    "join_enumerate": check_join_enumerate,
     "groupby_push_below_join": check_groupby_push_below_join,
     "groupby_pull_above_join": check_groupby_pull_above_join,
     "semijoin_groupby_reorder": check_semijoin_groupby_reorder,

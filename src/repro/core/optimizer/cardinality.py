@@ -348,7 +348,8 @@ class Estimator:
                     fraction = info.null_fraction
             return 1.0 - fraction if part.negated else fraction
         if isinstance(part, Like):
-            return DEFAULT_LIKE_SELECTIVITY
+            return 1.0 - DEFAULT_LIKE_SELECTIVITY if part.negated \
+                else DEFAULT_LIKE_SELECTIVITY
         if isinstance(part, InList):
             if isinstance(part.arg, ColumnRef):
                 ndv = input_est.ndv(part.arg.column.cid)

@@ -11,7 +11,11 @@ of transformation rules"):
 * a :class:`GroupExpr` is one operator whose relational children are
   :class:`GroupRefLeaf` placeholders;
 * duplicate detection is structural (operator label + child group ids),
-  which terminates exploration.
+  which terminates exploration;
+* the memo counts its expressions against the exploration budget and
+  records what the join enumerator (:mod:`.joinenum`) asks of it: the
+  group of each operator, the groups inner joins read, and groups that
+  hold a join in another column order than the group it feeds.
 
 ``SegmentApply`` keeps its parameterized inner tree embedded in the
 expression (only its relational input joins the memo) — the inner tree is
@@ -20,14 +24,18 @@ optimized recursively at implementation time with per-segment statistics.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ... import faultinject
-from ...algebra import (Apply, Column, GroupBy, Join, LocalGroupBy, Max1row,
-                        Project, RelationalOp, ScalarGroupBy, SegmentApply,
-                        Select, Sort, Top, derive_fds, derive_keys)
+from ...algebra import (Apply, Column, GroupBy, Join, JoinKind, LocalGroupBy,
+                        Max1row, Project, RelationalOp, ScalarGroupBy,
+                        SegmentApply, Select, Sort, Top, derive_fds,
+                        derive_keys)
 from ...algebra.funcdeps import FDSet
 from .cardinality import Estimate, Estimator
+
+if TYPE_CHECKING:
+    from .joinenum import JoinSpace
 
 
 class GroupRefLeaf(RelationalOp):
@@ -100,16 +108,45 @@ class Group:
         self.ref = GroupRefLeaf(group_id, columns, keys, fds, outer)
 
 
+def restore_output(tree: RelationalOp,
+                   columns: Sequence[Column]) -> RelationalOp:
+    """Project the tree back to an exact output column list (memo groups
+    require identical output columns across alternatives)."""
+    if [c.cid for c in tree.output_columns()] == [c.cid for c in columns]:
+        return tree
+    return Project.passthrough(tree, columns)
+
+
 class Memo:
     """Groups plus structural deduplication."""
 
     def __init__(self, estimator_factory: Callable[..., Estimator],
-                 governor=None) -> None:
+                 governor=None,
+                 indexes: Optional[Callable[[str], list[tuple[str, ...]]]]
+                 = None) -> None:
         self.groups: list[Group] = []
         self._expr_to_group: dict[tuple, int] = {}
+        #: (group, insertion number) of every expression's operator,
+        #: keyed by the operator itself (the memo keeps it alive).
+        self._op_group: dict[RelationalOp, tuple[int, int]] = {}
         self._estimator_factory = estimator_factory
         #: Optional ResourceGovernor enforcing the memo-group cap.
         self.governor = governor
+        #: Optional ``table name -> index column tuples`` of the stored
+        #: tables (index-induced edges of the join enumerator).
+        self.indexes = indexes
+        #: Expressions inserted so far, how many of them the statement
+        #: itself brought (those inserted before exploration), and the
+        #: exploration budget (``None``: unbounded).
+        self.expr_count = 0
+        self.statement_exprs = 0
+        self.max_exprs: Optional[int] = None
+        #: Groups some inner-join expression reads (cluster interiors).
+        self.inner_join_inputs: set[int] = set()
+        #: Columns rules derive from memo columns (see derived_column).
+        self._derived: dict[tuple, Column] = {}
+        #: The join enumerator's per-memo state (``joinenum.JoinSpace``).
+        self.join_space: Optional[JoinSpace] = None
         #: Exploration hook: called with (GroupExpr, group_id) for every
         #: expression added anywhere in the memo — including child
         #: expressions materialized while canonicalizing a rule's result.
@@ -121,6 +158,37 @@ class Memo:
     def group_ref(self, group_id: int) -> GroupRefLeaf:
         return self.groups[group_id].ref
 
+    def group_of(self, op: RelationalOp) -> int:
+        """The group holding the expression whose operator is ``op``."""
+        return self._op_group[op][0]
+
+    def from_statement(self, op: RelationalOp) -> bool:
+        """Whether ``op``'s expression was in the memo before exploration
+        (the statement's own tree and its SegmentApply variants)."""
+        return self._op_group[op][1] < self.statement_exprs
+
+    def derived_column(self, key: tuple,
+                       make: Callable[[], Column]) -> Column:
+        """The column a rule derives under ``key``, made on first use.
+
+        A rule that invents a column (a local aggregate's partial
+        result) would otherwise invent a fresh one each time it fires on
+        another expression of the same group, and the copies, alike
+        except for their ids, would never dedupe."""
+        column = self._derived.get(key)
+        if column is None:
+            column = self._derived[key] = make()
+        return column
+
+    def estimate(self, rel: RelationalOp) -> Estimate:
+        """The estimate of a tree whose leaves are group references."""
+        return self._estimator().estimate(rel)
+
+    def exhausted(self) -> bool:
+        """Whether the expression budget is spent."""
+        return self.max_exprs is not None and \
+            self.expr_count > self.max_exprs
+
     # -- insertion ---------------------------------------------------------------
 
     def insert_tree(self, rel: RelationalOp,
@@ -131,6 +199,18 @@ class Memo:
         When ``target_group`` is given, the root is added to that group
         (used by transformation rules).
         """
+        return self._insert(rel, target_group, None)
+
+    def insert_estimated(self, rel: RelationalOp,
+                         estimate: Estimate) -> int:
+        """Insert ``rel`` like :meth:`insert_tree`; a group it creates
+        takes ``estimate`` instead of one derived from ``rel`` (the join
+        enumerator estimates a subset of leaves once, whichever join
+        order enters it first)."""
+        return self._insert(rel, None, estimate)
+
+    def _insert(self, rel: RelationalOp, target_group: Optional[int],
+                estimate: Optional[Estimate]) -> int:
         faultinject.hit("optimizer.memo")
         canonical = self._canonicalize(rel)
         key = _expr_key(canonical.op, canonical.child_groups)
@@ -139,13 +219,9 @@ class Memo:
             return existing
 
         if target_group is None:
-            group = self._new_group(canonical.op)
+            group = self._new_group(canonical.op, estimate)
             target_group = group.group_id
-        self._expr_to_group[key] = target_group
-        canonical.key = key
-        self.groups[target_group].exprs.append(canonical)
-        if self.on_new_expr is not None:
-            self.on_new_expr(canonical, target_group)
+        self._record(canonical, key, target_group)
         return target_group
 
     def add_expr_to_group(self, rel: RelationalOp,
@@ -158,12 +234,43 @@ class Memo:
         key = _expr_key(canonical.op, canonical.child_groups)
         if key in self._expr_to_group:
             return None
+        self._record(canonical, key, group_id)
+        return canonical
+
+    def add_reordered(self, rel: RelationalOp,
+                      group_id: int) -> Optional[GroupExpr]:
+        """Add ``rel``, whose output holds the group's columns in another
+        order, to the group under a pass-through projection.
+
+        ``rel`` gets a group of its own that shares the group's logical
+        properties (estimate, keys, FDs, outer references): none of them
+        depends on column order, so they are not derived again."""
+        canonical = self._canonicalize(rel)
+        key = _expr_key(canonical.op, canonical.child_groups)
+        inner = self._expr_to_group.get(key)
+        if inner is None:
+            like = self.groups[group_id]
+            group = Group(len(self.groups), canonical.op.output_columns(),
+                          like.estimate, like.keys, like.fds, like.outer)
+            self._add_group(group)
+            inner = group.group_id
+            self._record(canonical, key, inner)
+        return self.add_expr_to_group(
+            Project.passthrough(self.group_ref(inner),
+                                self.groups[group_id].columns), group_id)
+
+    def _record(self, canonical: GroupExpr, key: tuple,
+                group_id: int) -> None:
         self._expr_to_group[key] = group_id
         canonical.key = key
         self.groups[group_id].exprs.append(canonical)
+        op = canonical.op
+        self._op_group[op] = (group_id, self.expr_count)
+        self.expr_count += 1
+        if isinstance(op, Join) and op.kind is JoinKind.INNER:
+            self.inner_join_inputs.update(canonical.child_groups)
         if self.on_new_expr is not None:
             self.on_new_expr(canonical, group_id)
-        return canonical
 
     def _canonicalize(self, rel: RelationalOp) -> GroupExpr:
         """Replace relational children by group references."""
@@ -189,19 +296,26 @@ class Memo:
             return child.group_id
         return self.insert_tree(child)
 
-    def _new_group(self, op: RelationalOp) -> Group:
-        estimator = self._estimator_factory(
+    def _estimator(self) -> Estimator:
+        return self._estimator_factory(
             group_lookup=lambda ref: self.groups[ref.group_id].estimate)
-        estimate = estimator.estimate(op)
+
+    def _new_group(self, op: RelationalOp,
+                   estimate: Optional[Estimate] = None) -> Group:
+        if estimate is None:
+            estimate = self._estimator().estimate(op)
         keys = derive_keys(op)
         fds = derive_fds(op, keys)
         outer = op.outer_references()
         group = Group(len(self.groups), op.output_columns(), estimate,
                       keys, fds, outer)
+        self._add_group(group)
+        return group
+
+    def _add_group(self, group: Group) -> None:
         self.groups.append(group)
         if self.governor is not None:
             self.governor.note_memo_groups(len(self.groups))
-        return group
 
 
 #: Operators whose label and child groups determine their output columns.

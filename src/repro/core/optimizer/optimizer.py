@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from ... import faultinject
-from ...algebra import RelationalOp
+from ...algebra import GroupBy, LocalGroupBy, Project, RelationalOp
 from ...analysis import PlanAnalyzer
 from ...catalog.statistics import TableStats
 from ...physical.plan import PhysicalOp
@@ -178,7 +178,9 @@ class Optimizer:
                        ) -> CostedPlan:
         context = _TreeContext(self, segment_rows)
         memo = Memo(context.make_estimator,
-                    governor=self.governor if explore else None)
+                    governor=self.governor if explore else None,
+                    indexes=self.index_provider
+                    if self.config.index_apply else None)
         root = memo.insert_tree(rel)
         for alternative in alternatives:
             memo.insert_tree(alternative, target_group=root)
@@ -190,29 +192,23 @@ class Optimizer:
     def _explore(self, memo: Memo) -> None:
         """Work-list exploration: every expression is offered to every rule
         once (with the child bindings available at that moment); results
-        enter the memo and the work list.  A global expression budget keeps
-        large join orders from exploding."""
+        enter the memo and the work list.  A global expression budget
+        (``max_memo_exprs``) bounds the memo; the join enumerator checks
+        it too."""
         rules = [r for r in DEFAULT_RULES if self.config.rule_enabled(r)]
         if not rules:
             return
-        queue: deque[tuple[GroupExpr, int]] = deque()
-        total = 0
-        for group in memo.groups:
-            for expr in group.exprs:
-                queue.append((expr, group.group_id))
-                total += 1
-        budget = self.config.max_memo_exprs
-
-        def enqueue(expr, group_id):
-            nonlocal total
-            queue.append((expr, group_id))
-            total += 1
-
-        memo.on_new_expr = enqueue
+        queue: deque[tuple[GroupExpr, int]] = deque(
+            (expr, group.group_id)
+            for group in memo.groups for expr in group.exprs)
+        memo.statement_exprs = memo.expr_count
+        memo.max_exprs = self.config.max_memo_exprs
+        memo.on_new_expr = lambda expr, group_id: queue.append(
+            (expr, group_id))
         governor = self.governor
         analyzer = PlanAnalyzer.for_rules()
         try:
-            while queue and total <= budget:
+            while queue and not memo.exhausted():
                 faultinject.hit("optimizer.explore")
                 expr, group_id = queue.popleft()
                 for rule in rules:
@@ -237,11 +233,29 @@ def _bindings(memo: Memo, op: RelationalOp, children: ChildPattern):
     if not children:
         yield op
         return
+    # An aggregate's output does not depend on its input's column order,
+    # so it also binds the expressions under a projection that only
+    # reorders its input's columns (the join orders enumeration enters
+    # under one).  Projections that also drop columns are not seen
+    # through: the pushes they would add find no cheaper plan (DESIGN.md).
+    see_through = isinstance(op, (GroupBy, LocalGroupBy))
     for i, (child, types) in enumerate(zip(op.children, children)):
         if not types or not isinstance(child, GroupRefLeaf):
             continue
-        for child_expr in memo.group(child.group_id).exprs:
+        for child_expr in _child_exprs(memo, child.group_id, see_through):
             if isinstance(child_expr.op, types):
                 expanded = list(op.children)
                 expanded[i] = child_expr.op
                 yield op.with_children(expanded)
+
+
+def _child_exprs(memo: Memo, group_id: int, see_through: bool):
+    """A group's expressions, and with ``see_through`` those under each
+    of its reordering projections."""
+    for expr in memo.group(group_id).exprs:
+        yield expr
+        if see_through and isinstance(expr.op, Project):
+            child = memo.group(expr.child_groups[0])
+            if len(child.columns) == len(expr.op.items) and \
+                    expr.op.is_pure_passthrough():
+                yield from child.exprs

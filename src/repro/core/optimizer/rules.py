@@ -7,22 +7,34 @@ The optimizer builds only bindings of the operator types a rule declares
 (:attr:`Rule.pattern`).  Rules return alternative trees that the memo
 inserts into the same group — generation only; the cost model chooses
 (paper: "it is best to generate both the alternatives and leave the
-choice to the cost based optimizer").
+choice to the cost based optimizer").  ``JoinEnumerate`` alone fills
+many groups at once, so it inserts its joins itself.
 
-The rule set implements the paper's Section 3 (plus classic join
-reorderings needed to connect them):
+The rule set implements the paper's Section 3 (plus the join
+enumeration needed to connect them):
 
 * ``GroupByPushBelowJoin`` / ``GroupByPullAboveJoin`` — Section 3.1, with
   the three conditions (predicate columns grouped or FD-derivable, key of
-  the preserved side grouped, aggregates confined to the pushed side);
+  the preserved side grouped — or, under an inner join, FD-derivable —
+  aggregates confined to the pushed side); only the statement's own
+  GroupBys are pulled up;
 * ``GroupByPushBelowOuterJoin`` — Section 3.2, adding the *computing
   project* that supplies ``agg(∅)`` constants for NULL-padded rows;
 * ``SemiJoinGroupByReorder`` — semijoin/antijoin vs GroupBy, both ways;
 * ``SemiJoinToJoinDistinct`` — semijoin as join + duplicate removal,
   exposing the GroupBy to further reordering (covers the strategies of
   Pirahesh et al. as the paper notes);
-* ``LocalGlobalSplit`` / ``LocalGroupByPushBelowJoin`` — Section 3.3;
-* ``JoinCommute`` / ``JoinAssociate`` — the substrate reorderings.
+* ``LocalGlobalSplit`` / ``LocalGroupByPushBelowJoin`` — Section 3.3; a
+  split's local columns are made once per memo, an aggregate grouped on
+  a key of its input is not split, and a LocalGroupBy moves only where
+  it saves rows and its GroupBy cannot go;
+* ``JoinEnumerate`` — the substrate join orders: each inner-join
+  cluster is enumerated once, exactly, with DPccp (:mod:`.joinenum`);
+  every connected subset of its leaves is one group and every
+  connected-subgraph/complement pair enters it in both orders.  The
+  GroupBy rules then move aggregates across those joins, and a join
+  they build starts a cluster of its own that reuses the subset groups
+  already in the memo.
 """
 
 from __future__ import annotations
@@ -35,7 +47,9 @@ from ...algebra import (AggregateCall, AggregateFunction, Case, Column,
                         Select, conjunction, conjuncts, derive_fds,
                         derive_keys)
 from ...algebra.scalar import Arithmetic
-from .memo import GroupRefLeaf, Memo
+from . import joinenum
+from .memo import Memo
+from .memo import restore_output as _restore
 
 
 #: Per child position, the operator types an expanded child may have.
@@ -77,50 +91,20 @@ def _ids(columns) -> frozenset[int]:
     return frozenset(c.cid for c in columns)
 
 
-def _restore(tree: RelationalOp, columns) -> RelationalOp:
-    """Project the tree back to an exact output column list (memo groups
-    require identical output columns across alternatives)."""
-    if [c.cid for c in tree.output_columns()] == [c.cid for c in columns]:
-        return tree
-    return Project.passthrough(tree, columns)
+class JoinEnumerate(Rule):
+    """Exact join enumeration: the inner-join cluster rooted at the
+    offered join enters the memo with DPccp, every connected subset of
+    its leaves as one group and every csg-cmp pair in both orders
+    (:mod:`.joinenum`).  Results go straight into the subset groups,
+    so nothing is returned."""
 
-
-class JoinCommute(Rule):
-    name = "join_commute"
+    name = joinenum.RULE_NAME
     pattern = {Join: ()}
 
     def apply(self, op: RelationalOp, memo: Memo) -> list[RelationalOp]:
-        if op.kind is not JoinKind.INNER:
-            return []
-        flipped = Join(JoinKind.INNER, op.right, op.left, op.predicate)
-        return [_restore(flipped, op.output_columns())]
-
-
-class JoinAssociate(Rule):
-    """(A ⋈ B) ⋈ C → A ⋈ (B ⋈ C), distributing conjuncts by scope."""
-
-    name = "join_associate"
-    pattern = {Join: ((Join,), ())}
-
-    def apply(self, op: RelationalOp, memo: Memo) -> list[RelationalOp]:
-        inner = op.left
-        if op.kind is not JoinKind.INNER or inner.kind is not JoinKind.INNER:
-            return []
-        a, b, c = inner.left, inner.right, op.right
-        parts: list[ScalarExpr] = []
-        if inner.predicate is not None:
-            parts.extend(conjuncts(inner.predicate))
-        if op.predicate is not None:
-            parts.extend(conjuncts(op.predicate))
-        bc_ids = _ids(b.output_columns()) | _ids(c.output_columns())
-        in_bc = [p.free_columns().ids() <= bc_ids for p in parts]
-        lower = [p for p, inside in zip(parts, in_bc) if inside]
-        upper = [p for p, inside in zip(parts, in_bc) if not inside]
-        new_inner = Join(JoinKind.INNER, b, c,
-                         conjunction(lower) if lower else None)
-        rotated = Join(JoinKind.INNER, a, new_inner,
-                       conjunction(upper) if upper else None)
-        return [_restore(rotated, op.output_columns())]
+        if op.kind is JoinKind.INNER:
+            joinenum.enumerate_cluster(op, memo)
+        return []
 
 
 class GroupByPushBelowJoin(Rule):
@@ -144,35 +128,45 @@ class GroupByPushBelowJoin(Rule):
         return results
 
 
-def _push_groupby_into(gb: GroupBy, join: Join, side: str,
-                       outer: bool) -> Optional[RelationalOp]:
-    aggregated = join.right if side == "right" else join.left
-    preserved = join.left if side == "right" else join.right
+def _sides(join: Join, side: str) -> tuple[RelationalOp, RelationalOp]:
+    """The (aggregated, preserved) inputs of a GroupBy moved to ``side``."""
+    if side == "right":
+        return join.right, join.left
+    return join.left, join.right
+
+
+def _pushed_grouping(group_columns, aggregates, join: Join,
+                     side: str) -> Optional[list[Column]]:
+    """Section 3.1's conditions for computing a GroupBy on ``side`` of
+    the join: the grouping columns it has there, or ``None`` when a
+    condition fails."""
+    aggregated, preserved = _sides(join, side)
     agg_ids = _ids(aggregated.output_columns())
-    preserved_ids = _ids(preserved.output_columns())
-    group_ids = _ids(gb.group_columns)
+    group_ids = _ids(group_columns)
 
     # Condition 3: aggregate expressions confined to the aggregated side.
-    for _, call in gb.aggregates:
+    for _, call in aggregates:
         if call.argument is None:
             return None  # count(*) counts join multiplicity; do not push
         if not call.argument.free_columns().ids() <= agg_ids:
             return None
-
-    # Condition 2: a key of the preserved side is grouped.
-    if not any(key <= group_ids for key in derive_keys(preserved)):
-        return None
 
     # Condition 1: aggregated-side predicate columns are grouped, directly
     # or pinned per group by the join's equality conjuncts / input FDs
     # (e.g. l2_partkey ≡ p_partkey with p_partkey grouped).  Equality
     # pinning stays valid under LEFT OUTER padding: an unmatched preserved
     # row forms a singleton group.
+    # Condition 2: a key of the preserved side is grouped; under an inner
+    # join, where every row is a matched one, it may also be pinned that
+    # way (c_custkey grouped pins n_nationkey through c_nationkey =
+    # n_nationkey).
+    keys = derive_keys(preserved)
+    keyed = any(key <= group_ids for key in keys)
     predicate_ids = (join.predicate.free_columns().ids()
                      if join.predicate is not None else frozenset())
     inner_pred_ids = predicate_ids & agg_ids
     extra = inner_pred_ids - group_ids
-    if extra:
+    if not keyed or extra:
         fds = derive_fds(preserved).copy()
         fds.add_all(derive_fds(aggregated))
         if join.predicate is not None:
@@ -180,15 +174,27 @@ def _push_groupby_into(gb: GroupBy, join: Join, side: str,
             _add_predicate_fds(fds, join.predicate)
         if not fds.determines(group_ids, extra):
             return None
+        if not keyed and not (join.kind is JoinKind.INNER and any(
+                fds.determines(group_ids, key) for key in keys)):
+            return None
 
     by_id = {c.cid: c for c in aggregated.output_columns()}
-    new_group_cols = [c for c in gb.group_columns if c.cid in agg_ids]
-    for cid in sorted(inner_pred_ids - _ids(new_group_cols)):
-        new_group_cols.append(by_id[cid])
+    grouping = [c for c in group_columns if c.cid in agg_ids]
+    for cid in sorted(inner_pred_ids - _ids(grouping)):
+        grouping.append(by_id[cid])
+    return grouping
 
+
+def _push_groupby_into(gb: GroupBy, join: Join, side: str,
+                       outer: bool) -> Optional[RelationalOp]:
+    new_group_cols = _pushed_grouping(gb.group_columns, gb.aggregates,
+                                      join, side)
+    if new_group_cols is None:
+        return None
     if outer:
         return _push_below_outerjoin(gb, join, new_group_cols)
 
+    aggregated, preserved = _sides(join, side)
     pushed = GroupBy(aggregated, new_group_cols, gb.aggregates)
     if side == "right":
         new_join = Join(join.kind, preserved, pushed, join.predicate)
@@ -274,6 +280,14 @@ class GroupByPullAboveJoin(Rule):
             child = op.right if side == "right" else op.left
             other = op.left if side == "right" else op.right
             if not isinstance(child, GroupBy):
+                continue
+            if memo is not None and not memo.from_statement(child):
+                # Only the statement's own GroupBys move up.  One that
+                # a rule placed (pushed below a join, split, pulled up
+                # already) would go back up beside the GroupBy it came
+                # from, with more grouping columns, and from there down
+                # again, and the memo would not close; the pushes of
+                # the GroupBy above already place it on every side.
                 continue
             agg_ids = _ids(c for c, _ in child.aggregates)
             predicate_ids = (op.predicate.free_columns().ids()
@@ -373,12 +387,12 @@ class LocalGlobalSplit(Rule):
                not call.descriptor.splittable
                for _, call in op.aggregates):
             return []
-        # Do not re-split a global aggregate (child group already holds a
-        # LocalGroupBy).
-        if isinstance(op.child, GroupRefLeaf):
-            child_group = memo.group(op.child.group_id)
-            if any(isinstance(e.op, LocalGroupBy) for e in child_group.exprs):
-                return []
+        # Grouped on a key, the local half saves no rows.  This also
+        # keeps a global aggregate over its own LocalGroupBy from being
+        # split again, which would stack partial aggregates without end.
+        group_ids = _ids(op.group_columns)
+        if any(key <= group_ids for key in derive_keys(op.child)):
+            return []
 
         local_aggs: list[tuple[Column, AggregateCall]] = []
         global_aggs: list[tuple[Column, AggregateCall]] = []
@@ -388,11 +402,12 @@ class LocalGlobalSplit(Rule):
             role_to_global: dict[str, Column] = {}
             local_cols = []
             for part in split.local:
-                local_col = Column(f"{column.name}_{part.role}_l",
-                                   column.dtype if part.func not in
-                                   (AggregateFunction.COUNT,
-                                    AggregateFunction.COUNT_STAR)
-                                   else _int_type(), nullable=True)
+                local_col = _derived(
+                    memo, ("local", column.cid, part.role, call.argument),
+                    f"{column.name}_{part.role}_l",
+                    column.dtype if part.func not in
+                    (AggregateFunction.COUNT, AggregateFunction.COUNT_STAR)
+                    else _int_type())
                 argument = (call.argument
                             if part.func is not AggregateFunction.COUNT_STAR
                             else None)
@@ -406,8 +421,9 @@ class LocalGlobalSplit(Rule):
                                            ColumnRef(local_cols[0]))))
             else:
                 for g_part, local_col in zip(split.global_, local_cols):
-                    g_col = Column(f"{column.name}_{g_part.role}_g",
-                                   local_col.dtype, nullable=True)
+                    g_col = _derived(
+                        memo, ("global", column.cid, local_col.cid),
+                        f"{column.name}_{g_part.role}_g", local_col.dtype)
                     global_aggs.append(
                         (g_col, AggregateCall(g_part.func,
                                               ColumnRef(local_col))))
@@ -430,6 +446,17 @@ class LocalGlobalSplit(Rule):
             else:
                 items.append((column, ColumnRef(column)))
         return [Project(global_gb, items)]
+
+
+def _derived(memo: Optional[Memo], key: tuple, name: str,
+             dtype) -> Column:
+    """A nullable column a rule derives from a memo column: made once per
+    memo, so every split of one aggregate output agrees on its local and
+    global columns and equal splits dedupe."""
+    if memo is None:
+        return Column(name, dtype, nullable=True)
+    return memo.derived_column(
+        key, lambda: Column(name, dtype, nullable=True))
 
 
 def _int_type():
@@ -462,6 +489,12 @@ class LocalGroupByPushBelowJoin(Rule):
 
     def _push(self, lgb: LocalGroupBy, join: Join,
               side: str) -> Optional[RelationalOp]:
+        if join.kind is JoinKind.INNER and _pushed_grouping(
+                lgb.group_columns, lgb.aggregates, join, side) is not None:
+            # Dominated: the GroupBy this LocalGroupBy was split from
+            # moves to the same side with the same grouping, and needs
+            # no global aggregate above the join.
+            return None
         target = join.right if side == "right" else join.left
         other = join.left if side == "right" else join.right
         target_ids = _ids(target.output_columns())
@@ -484,6 +517,8 @@ class LocalGroupByPushBelowJoin(Rule):
             group_cols.append(by_id[cid])
         if not group_cols:
             return None  # degenerate: nothing to segment on
+        if any(key <= _ids(group_cols) for key in derive_keys(target)):
+            return None  # grouped on a key: one row per group, no saving
         # Below a LEFT OUTER join the same Section 3.2 hazard as
         # _push_below_outerjoin applies: a padded row carries NULL local
         # aggregates, but an aggregate with a non-NULL agg(∅) (count)
@@ -593,8 +628,7 @@ class SelectPushdown(Rule):
 
 
 DEFAULT_RULES: tuple[Rule, ...] = (
-    JoinCommute(),
-    JoinAssociate(),
+    JoinEnumerate(),
     SelectPushdown(),
     GroupByPushBelowJoin(),
     GroupByPullAboveJoin(),

@@ -48,8 +48,14 @@ def drifted(snapshot: StatsSnapshot, row_count_of: RowCountOf,
     the check (going from 0 rows to any data invalidates every cardinality
     estimate the optimizer made).
     """
-    for name, planned in snapshot.row_counts.items():
-        current = row_count_of(name)
-        if abs(current - planned) > threshold * max(planned, 1):
-            return True
-    return False
+    return any(size_drifted(planned, row_count_of(name), threshold)
+               for name, planned in snapshot.row_counts.items())
+
+
+def size_drifted(planned: int, current: int,
+                 threshold: float = DEFAULT_DRIFT_THRESHOLD) -> bool:
+    """The one drift rule: ``current`` rows moved more than ``threshold``
+    of ``planned`` (an empty ``planned`` counts as 1, so any insert into
+    an empty table drifts).  Plan cache, correction store and the table
+    statistics cache all apply it."""
+    return abs(current - planned) > threshold * max(planned, 1)

@@ -39,6 +39,7 @@ from ..catalog.catalog import IndexDef, TableDef
 from ..catalog.statistics import TableStats, compute_table_stats
 from ..concurrency import TrackedLock, TrackedRLock
 from ..errors import ExecutionError, TransactionConflict
+from ..stats_version import size_drifted
 from .columnar import DEFAULT_CHUNK_ROWS, ColumnStore, ScanUnit
 
 #: Bound on autocommit writer-lock acquisition (seconds).  Generous —
@@ -164,7 +165,13 @@ class StoredTable:
                     index.insert(row, position, first)
                 inserted.append(row)
         finally:
-            if len(self._store) > first:
+            # Statistics survive small writes under the plan cache's
+            # drift rule: a trickle of inserts keeps the cached
+            # estimates, a bulk load (or any insert into a table that
+            # was empty when they were taken) recomputes them.
+            cached = self._stats_cache
+            if cached is not None and size_drifted(cached.row_count,
+                                                   len(self._store)):
                 self._stats_cache = None
             for index in indexes:
                 index.end_batch()

@@ -136,6 +136,34 @@ class TestStoredTable:
         table.insert((2, "b", 20))
         assert table.statistics().row_count == 2
 
+    def test_statistics_survive_small_inserts(self, monkeypatch):
+        """Statistics are recomputed only when the table's size drifts
+        beyond the plan cache's threshold from the size they describe."""
+        from repro.storage import table as table_module
+        computed = []
+        compute = table_module.compute_table_stats
+
+        def counting(*args):
+            computed.append(args[-1])
+            return compute(*args)
+
+        monkeypatch.setattr(table_module, "compute_table_stats", counting)
+        table = StoredTable(people_def())
+        table.insert_many([(i, f"p{i}", i) for i in range(10)])
+        cached = table.statistics()
+        table.insert((10, "one more", 10))
+        assert table.statistics() is cached  # 11 vs 10: no drift
+        assert computed == [10]
+        table.insert_many([(i, f"p{i}", i) for i in range(11, 16)])
+        assert table.statistics().row_count == 16  # 16 vs 10 drifted
+        assert computed == [10, 16]
+
+    def test_statistics_of_an_empty_table_are_recomputed(self):
+        table = StoredTable(people_def())
+        assert table.statistics().row_count == 0
+        table.insert((1, "a", 10))
+        assert table.statistics().row_count == 1
+
 
 class TestIndexes:
     def test_hash_index_null_never_matches(self):

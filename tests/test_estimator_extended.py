@@ -6,7 +6,7 @@ import pytest
 from repro.algebra import (AggregateCall, AggregateFunction, And, Apply,
                            Column, ColumnRef, Comparison, ConstantScan,
                            DataType, Difference, Get, GroupBy, Join,
-                           JoinKind, Literal, Max1row, Not, Or,
+                           JoinKind, Like, Literal, Max1row, Not, Or,
                            ScalarGroupBy, SegmentApply, SegmentRef, Select,
                            Top, UnionAll, equals)
 from repro.catalog.statistics import ColumnStats, TableStats
@@ -102,6 +102,21 @@ class TestDisjunctionEstimates:
         est = Estimator(stats_provider).estimate(
             Select(orders, Or([first, second])))
         assert est.rows < 1.0
+
+
+class TestLikeEstimates:
+    def test_not_like_keeps_the_complement_of_like(self):
+        orders, ok, ock = orders_get()
+        estimator = Estimator(stats_provider)
+        base = estimator.estimate(orders)
+        like = Like(ColumnRef(ock), "%special%requests%")
+        not_like = Like(ColumnRef(ock), "%special%requests%", negated=True)
+        assert estimator.predicate_selectivity(like, base) == \
+            pytest.approx(0.1)
+        assert estimator.predicate_selectivity(not_like, base) == \
+            pytest.approx(0.9)
+        assert estimator.estimate(Select(orders, not_like)).rows == \
+            pytest.approx(9000.0)
 
 
 class TestSetAndLimitEstimates:

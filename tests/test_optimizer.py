@@ -11,9 +11,10 @@ from repro.algebra import (AggregateCall, AggregateFunction, Column,
                            collect_nodes, equals, explain)
 from repro.core.optimizer import (Estimator, OptimizerConfig,
                                   push_selections, segment_alternatives)
+from repro.core.optimizer.memo import Memo
 from repro.core.optimizer.rules import (GroupByPushBelowJoin,
                                         GroupByPullAboveJoin,
-                                        JoinAssociate, JoinCommute,
+                                        JoinEnumerate,
                                         LocalGlobalSplit,
                                         SemiJoinGroupByReorder,
                                         SemiJoinToJoinDistinct)
@@ -188,27 +189,46 @@ class TestRules:
                     Comparison("<", ColumnRef(total), Literal(5.0)))
         assert GroupByPullAboveJoin().apply(join, memo=None) == []
 
-    def test_join_commute_wraps_in_project(self):
+    def test_join_enumerate_enters_both_orders(self):
         cust, _ = customer_scan()
         orders, _ = orders_scan()
         join = Join.cross(cust, orders)
-        (result,) = JoinCommute().apply(join, memo=None)
-        assert isinstance(result, Project)
-        assert [c.cid for c in result.output_columns()] == \
+        memo = Memo(lambda group_lookup=None: Estimator(no_stats,
+                                                        group_lookup))
+        root = memo.insert_tree(join)
+        assert JoinEnumerate().apply(memo.group(root).exprs[0].op,
+                                     memo) == []
+        original, flipped = memo.group(root).exprs
+        assert isinstance(original.op, Join)
+        # The other order enters under a pass-through projection that
+        # restores the group's column order.
+        assert isinstance(flipped.op, Project)
+        assert [c.cid for c in flipped.op.output_columns()] == \
             [c.cid for c in join.output_columns()]
+        (inner,) = memo.group(flipped.child_groups[0]).exprs
+        assert inner.child_groups == list(reversed(original.child_groups))
 
-    def test_join_associate_distributes_conjuncts(self):
+    def test_join_enumerate_places_conjuncts_lowest(self):
         a, (ak, _, _) = customer_scan()
         b, (bk, bck, _) = orders_scan()
         c, (ck2, cck, _) = orders_scan()
         inner = Join(JoinKind.INNER, a, b, equals(bck, ak))
         outer = Join(JoinKind.INNER, inner, c, equals(cck, bck))
-        (result,) = JoinAssociate().apply(outer, memo=None)
-        joins = collect_nodes(result, lambda n: isinstance(n, Join))
-        # rotated: bottom join is (b, c) with the b-c conjunct
-        bottom = joins[-1]
-        assert {col.cid for col in bottom.predicate.free_columns()} == \
-            {cck.cid, bck.cid}
+        memo = Memo(lambda group_lookup=None: Estimator(no_stats,
+                                                        group_lookup))
+        root = memo.insert_tree(outer)
+        JoinEnumerate().apply(memo.group(root).exprs[0].op, memo)
+        joins = [e.op for g in memo.groups for e in g.exprs
+                 if isinstance(e.op, Join)]
+        # a ⋈ c shares no conjunct, so no join reads only those two;
+        # b ⋈ c carries exactly its own conjunct.
+        predicates = {frozenset(c.cid for c in j.predicate.free_columns())
+                      for j in joins}
+        assert predicates == {frozenset({bck.cid, ak.cid}),
+                              frozenset({cck.cid, bck.cid})}
+        a_id, c_id = (memo.insert_tree(a), memo.insert_tree(c))
+        assert not any({a_id, c_id} == set(e.child_groups)
+                       for g in memo.groups for e in g.exprs)
 
     def test_semijoin_groupby_reorder(self):
         orders, (ok, ock, price) = orders_scan()

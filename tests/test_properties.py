@@ -55,7 +55,27 @@ class TestKeys:
         cust, (ck, _, _) = customer_scan()
         orders, (ok, ock, _) = orders_scan()
         join = Join(JoinKind.INNER, cust, orders, equals(ock, ck))
-        assert frozenset({ck.cid, ok.cid}) in derive_keys(join)
+        assert frozenset({ck.cid, ok.cid}) in derive_keys(
+            Join(JoinKind.INNER, cust, orders))
+        # o_custkey = c_custkey equates customer's key: each order
+        # matches one customer, so o_orderkey alone is a key.
+        assert derive_keys(join) == [frozenset({ok.cid})]
+
+    def test_foreign_key_join_keeps_only_matched_sides_keys(self):
+        cust, (ck, _, nation) = customer_scan()
+        orders, (ok, ock, _) = orders_scan()
+        flipped = Join(JoinKind.INNER, orders, cust, equals(ck, ock))
+        assert derive_keys(flipped) == [frozenset({ok.cid})]
+        # Each order keeps one row under LEFT OUTER, matched or padded;
+        # a customer's rows repeat per order, and padding repeats NULLs.
+        outer = Join(JoinKind.LEFT_OUTER, orders, cust, equals(ock, ck))
+        assert derive_keys(outer) == [frozenset({ok.cid})]
+        reversed_outer = Join(JoinKind.LEFT_OUTER, cust, orders,
+                              equals(ock, ck))
+        assert derive_keys(reversed_outer) == [frozenset({ck.cid, ok.cid})]
+        # An equality to a column that is no key pins nothing.
+        on_nation = Join(JoinKind.INNER, orders, cust, equals(ock, nation))
+        assert derive_keys(on_nation) == [frozenset({ok.cid, ck.cid})]
 
     def test_semi_join_keeps_left_keys(self):
         cust, (ck, _, _) = customer_scan()

@@ -7,21 +7,24 @@ duplicate values).  This is the optimizer-level counterpart of the
 normalization differential tests.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import (AggregateCall, AggregateFunction, Column,
+from repro.algebra import (AggregateCall, AggregateFunction, And, Column,
                            ColumnRef, Comparison, DataType, Get, GroupBy,
                            Join, JoinKind, Literal, LocalGroupBy, Project,
                            Select, equals)
 from repro.core.optimizer.pushdown import (factor_conjuncts,
                                            push_selections)
+from repro.core.optimizer import Estimator
+from repro.core.optimizer.memo import Memo
 from repro.core.optimizer.rules import (GroupByPullAboveJoin,
                                         GroupByPushBelowJoin,
-                                        JoinAssociate, JoinCommute,
+                                        JoinEnumerate,
                                         LocalGlobalSplit,
                                         SelectPushdown,
                                         SemiJoinGroupByReorder,
@@ -224,40 +227,45 @@ class TestLocalAggregateRules:
             assert run(pushed_tree, data) == baseline
 
 
-class TestJoinOrderRules:
-    @settings(max_examples=60, deadline=None)
-    @given(s=s_rows, r=r_rows)
-    def test_commute(self, s, r):
-        s_get, k, c = make_s(s)
-        r_get, a, b = make_r(r)
-        tree = Join(JoinKind.INNER, s_get, r_get, equals(a, k))
-        data = {"s": s, "r": r}
-        check_rule(JoinCommute(), tree, data, expect_fire=True)
+def memo_trees(memo, group_id):
+    """Every plan tree a memo group holds (children expanded through
+    every alternative of their groups)."""
+    for expr in memo.group(group_id).exprs:
+        options = [list(memo_trees(memo, child))
+                   for child in expr.child_groups]
+        for children in itertools.product(*options):
+            yield expr.op.with_children(list(children)) if children \
+                else expr.op
 
+
+class TestJoinEnumeration:
     @settings(max_examples=60, deadline=None)
-    @given(s=s_rows, r=r_rows, t=r_rows)
-    def test_associate(self, s, r, t):
+    @given(s=s_rows, r=r_rows, t=r_rows, cross=st.booleans())
+    def test_every_order_is_equivalent(self, s, r, t, cross):
         s_get, k, c = make_s(s)
         r_get, a, b = make_r(r)
-        t_get, a2, b2 = make_r(t)
+        t = [(x, y) for x, y in t]
+        t_get = Get("t", [Column("a", DataType.INTEGER),
+                          Column("b", DataType.INTEGER)], [])
+        a2, b2 = t_get.columns
         inner = Join(JoinKind.INNER, s_get, r_get, equals(a, k))
-        tree = Join(JoinKind.INNER, inner, t_get, equals(a2, a))
-        data = {"s": s, "r": r}
-        # two Gets named "r": provide per-name rows via closure capture
-        data = {"s": s, "r": None}
-
-        def provider(name):
-            if name == "s":
-                return s
-            # both r-instances read the same underlying table shape; keep
-            # them distinct by identity of Get columns is not possible via
-            # name alone, so give them the same rows (valid: a self-join).
-            return r
-
-        baseline = Counter(NaiveInterpreter(provider).run(tree))
-        for alternative in JoinAssociate().apply(tree, memo=None):
-            assert Counter(NaiveInterpreter(provider).run(alternative)) \
-                == baseline
+        # With ``cross`` the third input joins through a predicate on
+        # both others (one conjunct reading s and t, one r and t),
+        # else through r alone.
+        predicate = (And([equals(a2, k), Comparison("<", ColumnRef(b),
+                                                    ColumnRef(b2))])
+                     if cross else equals(a2, a))
+        tree = Join(JoinKind.INNER, inner, t_get, predicate)
+        data = {"s": s, "r": r, "t": t}
+        memo = Memo(lambda group_lookup=None: Estimator(
+            lambda name: None, group_lookup))
+        root = memo.insert_tree(tree)
+        JoinEnumerate().apply(memo.group(root).exprs[0].op, memo)
+        plans = list(memo_trees(memo, root))
+        assert len(plans) > 2
+        baseline = run(tree, data)
+        for plan in plans:
+            assert run(plan, data) == baseline
 
 
 class TestSelectionRules:
