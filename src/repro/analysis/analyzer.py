@@ -8,11 +8,8 @@ environment variable:
   emit :class:`PlanAnalysisWarning` on violations;
 * ``strict`` — additionally validate every rewrite-rule application and
   every normalizer pass, and *raise* :class:`~repro.errors.PlanInvariantError`
-  on any violation.  Because that error subclasses ``PlanError``, a
-  strict-mode failure inside ``Database`` degrades the query to a
-  fallback plan rather than failing it — except ``columns.unread``
-  (:meth:`PlanAnalyzer.check_required_columns`), checked on the plan a
-  statement finally gets, which fails the statement.
+  on any violation.  ``Database`` never degrades a statement on that
+  error (a fallback plan would hide the fault): the statement fails.
 
 Per-rule validation produces *blame reports*: "rule X turned valid tree
 A into invalid tree B", with stable fingerprints for both trees and a
@@ -24,9 +21,10 @@ from __future__ import annotations
 import difflib
 import os
 import warnings
-from typing import Optional
+from typing import Optional, Sequence
 
 from .. import faultinject
+from ..algebra.columns import Column
 from ..algebra.printer import explain, plan_fingerprint
 from ..algebra.relational import RelationalOp, SegmentRef
 from ..errors import InjectedFault, PlanInvariantError
@@ -129,24 +127,26 @@ class PlanAnalyzer:
 
     def check_physical(self, plan, *, stage: str,
                        env: frozenset[int] = frozenset(),
+                       order: Optional[Sequence[Column]] = None,
                        ) -> list[AnalysisIssue]:
+        """``order``: the columns the plan's result must deliver, in
+        that order (a statement's output)."""
         if not self.enabled or not self._armed():
             return []
         issues = verify_physical(plan, env,
                                  index_provider=self.index_provider)
         # Positional layout checks: both engines compile against these,
         # and the vectorized engine gathers whole columns by position.
-        issues.extend(verify_batch_layout(plan))
+        issues.extend(verify_batch_layout(plan, order))
         self._report(stage, issues)
         return issues
 
     def check_required_columns(self, plan, *, stage: str
                                ) -> list[AnalysisIssue]:
         """``columns.unread``, strict mode only.  A cost, not a fault, so
-        it is no part of :meth:`check_physical` (whose error sends a
-        statement down the fallback ladder) nor of :meth:`admissible`:
-        callers run it on the plan a statement finally gets, where its
-        error fails the statement."""
+        it is no part of :meth:`check_physical` (which warn mode also
+        runs) nor of :meth:`admissible`: callers run it on the plan a
+        statement finally gets, where its error fails the statement."""
         if not self.strict or not self._armed():
             return []
         issues = verify_required_columns(plan)
@@ -168,7 +168,8 @@ class PlanAnalyzer:
             return False
         if plan is not None and (
                 verify_physical(plan, index_provider=self.index_provider)
-                or verify_batch_layout(plan)):
+                or verify_batch_layout(
+                    plan, None if rel is None else rel.output_columns())):
             return False
         return True
 
@@ -183,12 +184,13 @@ class PlanAnalyzer:
         issues = verify_logical(after, env, segment_bindings=segments)
         before_ids = [c.cid for c in before.output_columns()]
         after_ids = [c.cid for c in after.output_columns()]
-        if before_ids != after_ids:
+        if set(before_ids) != set(after_ids) or \
+                len(set(after_ids)) != len(after_ids):
             issues.append(AnalysisIssue(
                 "rule.schema-changed",
-                f"output schema changed from {before_ids} to {after_ids}; "
-                f"memo group members must agree on their ordered output",
-                node=after.label()))
+                f"output columns changed from {before_ids} to {after_ids}; "
+                f"memo group members must deliver one column set, each "
+                f"column once (in any order)", node=after.label()))
         escaped = after.outer_references().ids() - env
         if escaped:
             names = ", ".join(f"#{cid}" for cid in sorted(escaped))

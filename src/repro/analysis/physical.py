@@ -203,7 +203,9 @@ def _walk(plan: PhysicalOp, env: frozenset[int], path: tuple[int, ...],
               child_segments[index], index_provider, issues)
 
 
-def verify_batch_layout(plan: PhysicalOp) -> list[AnalysisIssue]:
+def verify_batch_layout(plan: PhysicalOp,
+                        order: Optional[Sequence[Column]] = None
+                        ) -> list[AnalysisIssue]:
     """Positional layout invariants of batched execution.
 
     :func:`verify_physical` checks column *sets* (everything referenced is
@@ -216,8 +218,18 @@ def verify_batch_layout(plan: PhysicalOp) -> list[AnalysisIssue]:
     plan whose declared ``columns`` sequence drifts from the construction
     rule would silently transpose data.  This walk re-derives each
     operator's expected layout from its inputs and flags any mismatch.
+
+    Memo groups are column sets, so the optimizer enforces column order
+    only where a consumer reads by position; this pins those consumers:
+    the result delivers ``order`` (when given) and every
+    ``PSegmentApply``'s segmented input lines up with its binding.
     """
     issues: list[AnalysisIssue] = []
+    if order is not None and _ids(plan.columns) != _ids(order):
+        issues.append(AnalysisIssue(
+            "order.result",
+            f"the plan delivers columns {_ids(plan.columns)} where the "
+            f"statement's result is {_ids(order)}", node=plan.label()))
     _walk_batch(plan, (), issues)
     return issues
 
@@ -265,14 +277,21 @@ def _walk_batch(plan: PhysicalOp, path: tuple[int, ...],
     elif isinstance(plan, PSegmentApply):
         # The segment binding is the left input's rows verbatim (both
         # engines publish them unchanged), read positionally by the
-        # SegmentRef leaves.  The binding columns may be *renamed*
-        # mirrors of the left columns (fresh cids), so only the arity is
-        # checkable here.
+        # SegmentRef leaves.  The binding columns are fresh-id mirrors
+        # of the left columns, so each must match the left column at its
+        # position in name and type.
         if len(plan.inner_columns) != len(plan.left.columns):
             report("batch.segment-binding",
                    f"inner binding has {len(plan.inner_columns)} "
                    f"column(s) for a {len(plan.left.columns)}-column "
                    f"segmented input")
+        for position, (left, inner) in enumerate(
+                zip(plan.left.columns, plan.inner_columns)):
+            if (left.name, left.dtype) != (inner.name, inner.dtype):
+                report("order.segment-input",
+                       f"segmented input delivers {left!r} at position "
+                       f"{position}, where the binding mirrors {inner!r}")
+                break
     elif isinstance(plan, (PUnionAll, PDifference)):
         maps = (plan.input_maps if isinstance(plan, PUnionAll)
                 else [plan.left_map, plan.right_map])

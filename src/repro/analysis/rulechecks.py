@@ -324,8 +324,8 @@ def _inner_join_cluster(rel: RelationalOp, leaves: Counter,
 def check_join_enumerate(before: RelationalOp,
                          after: RelationalOp) -> list[AnalysisIssue]:
     """An enumerated join order reads the same leaves under the same
-    conjuncts as the cluster it was enumerated from (the ordered output
-    is checked for every rule)."""
+    conjuncts as the cluster it was enumerated from (the column set is
+    checked for every rule)."""
     issues: list[AnalysisIssue] = []
     found = []
     for rel in (before, after):

@@ -96,6 +96,28 @@ class Implementer:
             best.plan.estimated_rows = group.estimate.rows
         return best
 
+    def ordered_plan(self, group_id: int) -> CostedPlan:
+        """The group's best plan, its columns in the group's order.
+
+        A group is a column set and its members deliver it in any order,
+        which every operator that resolves columns by id accepts.  This
+        enforcer serves the consumers that read by position: the result
+        of a statement or of a SegmentApply inner tree, and the
+        segmented input of a SegmentApply, zipped with its
+        ``inner_columns``.  It adds a pass-through projection when the
+        orders differ, at no cost: the choice of plan is already made.
+        """
+        best = self.best_plan(group_id)
+        order = self._memo.group(group_id).columns
+        if [c.cid for c in best.plan.columns] == [c.cid for c in order]:
+            return best
+        delivered = {c.cid: c for c in best.plan.columns}
+        plan = PProject(best.plan, [(delivered[c.cid],
+                                     ColumnRef(delivered[c.cid]))
+                                    for c in order])
+        plan.estimated_rows = best.plan.estimated_rows
+        return CostedPlan(best.cost, plan)
+
     def _child(self, op: RelationalOp) -> CostedPlan:
         assert isinstance(op, GroupRefLeaf), "expr children must be grouped"
         return self.best_plan(op.group_id)
@@ -395,7 +417,8 @@ class Implementer:
     # -- segmented execution ---------------------------------------------------------
 
     def _implement_segment_apply(self, op: SegmentApply) -> CostedPlan:
-        left = self._child(op.left)
+        assert isinstance(op.left, GroupRefLeaf)
+        left = self.ordered_plan(op.left.group_id)
         left_est = self._memo.group(op.left.group_id).estimate
         segments = 1.0
         for column in op.segment_columns:

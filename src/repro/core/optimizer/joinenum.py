@@ -12,16 +12,15 @@ is offered to :class:`~repro.core.optimizer.rules.JoinEnumerate`:
   composite-key seek of R, stays in the space (TPC-H Q8's part ×
   supplier → lineitem (l_partkey, l_suppkey)).  The components of a
   disconnected graph are joined by cross products;
-* every connected subset of leaves is one memo group, whose column
-  order is the cluster's leaf order (a pair in another order enters
-  under a pass-through projection, which required-column pruning
-  deletes from the chosen plan) and whose estimate is the product of
-  its leaves and its conjuncts' selectivities, whichever pair enters
-  it first;
+* every connected subset of leaves is one memo group, whose estimate
+  is the product of its leaves and its conjuncts' selectivities,
+  whichever pair enters it first;
 * every csg-cmp pair (a connected subset and a connected complement
   joined to it by an edge) enters the group of its union, in both
   orders, exactly once (:func:`csg_cmp_pairs`, Moerkotte & Neumann,
-  VLDB 2006);
+  VLDB 2006).  A group is a column set: the two orders deliver its
+  columns in different orders, and the implementer enforces an order
+  only where a consumer reads by position;
 * each conjunct sits on the lowest join whose subset covers the leaves
   it reads.
 
@@ -29,7 +28,7 @@ The memo's expression budget (``OptimizerConfig.max_memo_exprs``) stops
 an enumeration that does not fit; the original tree is in the memo
 already, so the pairs entered so far only add alternatives.  Under the
 strict analyzer every pair is checked against the join it was read from
-(same leaves, same conjuncts, same ordered output).
+(same leaves, same conjuncts, same column set).
 :class:`JoinSpace` keeps, per memo, the subset groups by (leaf set,
 conjunct multiset), which is what lets the clusters of later rule
 results (a GroupBy pushed below a join joins a new leaf to an
@@ -42,10 +41,10 @@ from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from ...algebra import (ColumnRef, Comparison, Get, Join, JoinKind,
-                        Project, RelationalOp, ScalarExpr, Select,
-                        conjunction, conjuncts)
+                        RelationalOp, ScalarExpr, Select, conjunction,
+                        conjuncts)
 from ...analysis import PlanAnalyzer
-from .memo import GroupRefLeaf, Memo, restore_output
+from .memo import GroupRefLeaf, Memo
 
 #: The rule name the strict analyzer checks enumerated joins under.
 RULE_NAME = "join_enumerate"
@@ -296,7 +295,6 @@ class _Enumeration:
         self.subset_groups = {1 << i: g for i, g in enumerate(self.leaves)}
         self.subset_groups[self.full] = memo.group_of(root)
         self.entered: set[int] = set()
-        self.orders: dict[int, tuple[int, ...]] = {}
         self.analyzer = PlanAnalyzer.for_rules()
 
     def _connect(self, nodes: int) -> None:
@@ -353,9 +351,14 @@ class _Enumeration:
         return found
 
     def run(self) -> None:
+        # One cluster is one rule application, so the governor's tick
+        # would check the deadline too seldom; check it per pair.
+        governor = self.memo.governor
         for left, right in join_pairs(self.neighbours):
             if self.memo.exhausted():
                 return
+            if governor is not None:
+                governor.check_deadline()
             self._enter(left, right)
 
     def _enter(self, left: int, right: int) -> None:
@@ -374,45 +377,24 @@ class _Enumeration:
             self.space.done.add(cluster_key(self._cluster_of(nodes)))
         memo = self.memo
         target = self._group_of(nodes)
-        if target is None:
-            columns = [c for i in _bits(nodes)
-                       for c in self.refs[i].output_columns()]
-        else:
-            columns = memo.group(target).columns
-        order = tuple(c.cid for c in columns)
         for a, b in ((left_group, right_group), (right_group, left_group)):
             join = Join(JoinKind.INNER, memo.group_ref(a), memo.group_ref(b),
                         predicate)
-            direct = self._order(a) + self._order(b) == order
             if self.analyzer is not None:
                 # Every order of the cluster must equal the join it was
                 # read from; every order of a subset, the subset's leaves
                 # under its conjuncts.
-                before = self.root_op if nodes == self.full else \
-                    restore_output(self._canonical_tree(nodes), columns)
-                self._check(before, join if direct
-                            else Project.passthrough(join, columns))
+                self._check(self.root_op if nodes == self.full
+                            else self._canonical_tree(nodes), join)
             if target is None:
                 # The subset's estimate is the product of its leaves and
                 # conjunct selectivities, whichever pair comes first.
                 estimate = memo.estimate(self._canonical_tree(nodes))
                 target = memo.insert_estimated(join, estimate)
-                if not direct:
-                    target = memo.insert_tree(
-                        Project.passthrough(memo.group_ref(target), columns))
                 self.subset_groups[nodes] = target
                 self.space.register(target, self._cluster_of(nodes))
-            elif direct:
-                memo.add_expr_to_group(join, target)
             else:
-                memo.add_reordered(join, target)
-
-    def _order(self, group_id: int) -> tuple[int, ...]:
-        found = self.orders.get(group_id)
-        if found is None:
-            found = self.orders[group_id] = tuple(
-                c.cid for c in self.memo.group(group_id).columns)
-        return found
+                memo.add_expr_to_group(join, target)
 
     # -- strict-mode checks ------------------------------------------------------
 

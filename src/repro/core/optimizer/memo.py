@@ -5,17 +5,19 @@ of our cost-based optimizer follows the main lines of the Volcano
 optimizer, so that generation of interesting reorderings is done by means
 of transformation rules"):
 
-* a :class:`Group` holds logically equivalent expressions with identical
-  output columns, plus cached logical properties (estimate, keys, FDs) and
-  the best physical plan once implemented;
+* a :class:`Group` holds logically equivalent expressions over one set
+  of output columns, plus cached logical properties (estimate, keys,
+  FDs) and the best physical plan once implemented.  Column order is a
+  physical property: a member may deliver the group's columns in any
+  order (both orders of a join share one group), and the implementer
+  enforces the group's order only where a consumer reads by position;
 * a :class:`GroupExpr` is one operator whose relational children are
   :class:`GroupRefLeaf` placeholders;
 * duplicate detection is structural (operator label + child group ids),
   which terminates exploration;
 * the memo counts its expressions against the exploration budget and
   records what the join enumerator (:mod:`.joinenum`) asks of it: the
-  group of each operator, the groups inner joins read, and groups that
-  hold a join in another column order than the group it feeds.
+  group of each operator and the groups inner joins read.
 
 ``SegmentApply`` keeps its parameterized inner tree embedded in the
 expression (only its relational input joins the memo) — the inner tree is
@@ -35,6 +37,7 @@ from ...algebra.funcdeps import FDSet
 from .cardinality import Estimate, Estimator
 
 if TYPE_CHECKING:
+    from .implementation import CostedPlan
     from .joinenum import JoinSpace
 
 
@@ -88,7 +91,11 @@ class GroupExpr:
 
 
 class Group:
-    """A set of logically equivalent expressions."""
+    """A set of logically equivalent expressions.
+
+    ``columns`` is the group's column order (its first expression's);
+    the other members deliver the same columns, maybe in another order.
+    """
 
     __slots__ = ("group_id", "columns", "exprs", "estimate", "keys", "fds",
                  "outer", "best", "ref")
@@ -103,16 +110,17 @@ class Group:
         self.keys = keys
         self.fds = fds
         self.outer = outer
-        self.best = None  # set by implementation: (cost, plan)
+        #: The cheapest plan, set by implementation.
+        self.best: Optional[CostedPlan] = None
         #: The leaf standing for this group in every expression.
         self.ref = GroupRefLeaf(group_id, columns, keys, fds, outer)
 
 
 def restore_output(tree: RelationalOp,
                    columns: Sequence[Column]) -> RelationalOp:
-    """Project the tree back to an exact output column list (memo groups
-    require identical output columns across alternatives)."""
-    if [c.cid for c in tree.output_columns()] == [c.cid for c in columns]:
+    """Narrow the tree to the column set of ``columns`` (memo group
+    members agree on their column set, in any order)."""
+    if {c.cid for c in tree.output_columns()} == {c.cid for c in columns}:
         return tree
     return Project.passthrough(tree, columns)
 
@@ -236,28 +244,6 @@ class Memo:
             return None
         self._record(canonical, key, group_id)
         return canonical
-
-    def add_reordered(self, rel: RelationalOp,
-                      group_id: int) -> Optional[GroupExpr]:
-        """Add ``rel``, whose output holds the group's columns in another
-        order, to the group under a pass-through projection.
-
-        ``rel`` gets a group of its own that shares the group's logical
-        properties (estimate, keys, FDs, outer references): none of them
-        depends on column order, so they are not derived again."""
-        canonical = self._canonicalize(rel)
-        key = _expr_key(canonical.op, canonical.child_groups)
-        inner = self._expr_to_group.get(key)
-        if inner is None:
-            like = self.groups[group_id]
-            group = Group(len(self.groups), canonical.op.output_columns(),
-                          like.estimate, like.keys, like.fds, like.outer)
-            self._add_group(group)
-            inner = group.group_id
-            self._record(canonical, key, inner)
-        return self.add_expr_to_group(
-            Project.passthrough(self.group_ref(inner),
-                                self.groups[group_id].columns), group_id)
 
     def _record(self, canonical: GroupExpr, key: tuple,
                 group_id: int) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from ... import faultinject
-from ...algebra import GroupBy, LocalGroupBy, Project, RelationalOp
+from ...algebra import RelationalOp
 from ...analysis import PlanAnalyzer
 from ...catalog.statistics import TableStats
 from ...physical.plan import PhysicalOp
@@ -187,7 +187,7 @@ class Optimizer:
         if explore:
             self._explore(memo)
         implementer = Implementer(memo, context)
-        return implementer.best_plan(root)
+        return implementer.ordered_plan(root)
 
     def _explore(self, memo: Memo) -> None:
         """Work-list exploration: every expression is offered to every rule
@@ -233,29 +233,11 @@ def _bindings(memo: Memo, op: RelationalOp, children: ChildPattern):
     if not children:
         yield op
         return
-    # An aggregate's output does not depend on its input's column order,
-    # so it also binds the expressions under a projection that only
-    # reorders its input's columns (the join orders enumeration enters
-    # under one).  Projections that also drop columns are not seen
-    # through: the pushes they would add find no cheaper plan (DESIGN.md).
-    see_through = isinstance(op, (GroupBy, LocalGroupBy))
     for i, (child, types) in enumerate(zip(op.children, children)):
         if not types or not isinstance(child, GroupRefLeaf):
             continue
-        for child_expr in _child_exprs(memo, child.group_id, see_through):
+        for child_expr in memo.group(child.group_id).exprs:
             if isinstance(child_expr.op, types):
                 expanded = list(op.children)
                 expanded[i] = child_expr.op
                 yield op.with_children(expanded)
-
-
-def _child_exprs(memo: Memo, group_id: int, see_through: bool):
-    """A group's expressions, and with ``see_through`` those under each
-    of its reordering projections."""
-    for expr in memo.group(group_id).exprs:
-        yield expr
-        if see_through and isinstance(expr.op, Project):
-            child = memo.group(expr.child_groups[0])
-            if len(child.columns) == len(expr.op.items) and \
-                    expr.op.is_pure_passthrough():
-                yield from child.exprs

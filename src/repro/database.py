@@ -36,7 +36,8 @@ from .core.optimizer import Estimator, Optimizer
 from .durability import DEFAULT_CHECKPOINT_BYTES, DurabilityManager
 from .errors import (BindError, CatalogError, DurabilityError,
                      ExecutionError, InjectedFault,
-                     OptimizerBudgetExceeded, PlanError, ReproError)
+                     OptimizerBudgetExceeded, PlanError, PlanInvariantError,
+                     ReproError)
 from .executor import NaiveInterpreter
 from .executor.physical import PhysicalExecutor
 from .executor.vectorized import DEFAULT_BATCH_SIZE, VectorizedExecutor
@@ -659,7 +660,8 @@ class Database:
         substitution when ``rewriting``) → normalize → verify → optimize
         → prepare for ``engine``.  A cost-based-optimizer failure
         degrades to a fallback plan (:meth:`_degraded_plan`) instead of
-        failing the statement.  What EXPLAIN shows beside the plan (the
+        failing the statement; a failed strict-mode check
+        (``PlanInvariantError``) fails it.  What EXPLAIN shows beside the plan (the
         normalized tree, the cost) stays on the entry, so it draws
         exactly what ``execute`` runs."""
         bound, fingerprint, matview_name, rewritten_sql = \
@@ -687,7 +689,10 @@ class Database:
                 executable = self._executor_for(engine).prepare(plan)
                 if analyzer is not None:
                     analyzer.check_physical(plan,
-                                            stage="admission:physical")
+                                            stage="admission:physical",
+                                            order=bound.rel.output_columns())
+            except PlanInvariantError:
+                raise  # strict mode: a failed check fails the statement
             except (PlanError, OptimizerBudgetExceeded, InjectedFault,
                     ExecutionError) as exc:
                 reason = f"{type(exc).__name__}: {exc}"
@@ -765,8 +770,11 @@ class Database:
             plan = self._optimizer(mode).heuristic_plan(normalized)
             executable = self._executor_for(engine).prepare(plan)
             if analyzer is not None:
-                analyzer.check_physical(plan, stage="fallback:heuristic")
+                analyzer.check_physical(plan, stage="fallback:heuristic",
+                                        order=normalized.output_columns())
             return plan, executable
+        except PlanInvariantError:
+            raise
         except (PlanError, OptimizerBudgetExceeded, InjectedFault,
                 ExecutionError):
             return None, None

@@ -13,7 +13,8 @@ rows.  The budget itself is pinned: no TPC-H template and no Figure-4
 formulation reaches ``max_memo_exprs``.  A conjunct that reads a single
 leaf (a correlation kept on a join, a semijoin's outer-only ON
 conjunct) stays on every enumerated order, checked against the naive
-interpreter with and without the strict analyzer.
+interpreter with and without the strict analyzer, and an enumeration
+that drops conjuncts fails a strict statement instead of degrading it.
 """
 
 import random
@@ -349,3 +350,23 @@ def test_a_conjunct_reading_one_leaf_stays_on_every_order(name, analyze,
     assert not result.degraded
     expected = db.execute(sql, NAIVE).rows
     assert sorted(result.rows) == sorted(expected)
+
+
+def test_strict_statement_fails_when_enumeration_drops_a_conjunct(
+        monkeypatch):
+    # An enumerator that loses every join conjunct builds cross products
+    # that are not the cluster.  The strict check names the rule, and the
+    # statement fails instead of running a fallback plan, whose rows
+    # would let the strict suites pass on a wrong rule.
+    from repro.core.optimizer import joinenum
+    from repro.errors import PlanInvariantError
+    monkeypatch.setattr(joinenum, "conjunction", lambda parts: None)
+    monkeypatch.setenv("REPRO_ANALYZE", "strict")
+    db = correlated_database()
+    sql = "select ck, ok, ln from cust, ord, item where ock = ck and ok = iok"
+    with pytest.raises(PlanInvariantError) as raised:
+        db.execute(sql, FULL)
+    assert "join.conjuncts-changed" in [i.code for i in raised.value.issues]
+    assert "rule:join_enumerate" in str(raised.value)
+    monkeypatch.setenv("REPRO_ANALYZE", "warn")
+    assert not db.execute(sql, FULL).degraded  # no check runs per rule

@@ -199,14 +199,16 @@ class TestRules:
         assert JoinEnumerate().apply(memo.group(root).exprs[0].op,
                                      memo) == []
         original, flipped = memo.group(root).exprs
+        # Both orders sit in the join's own group: a group is a column
+        # set, and the flipped join delivers it in another order.
         assert isinstance(original.op, Join)
-        # The other order enters under a pass-through projection that
-        # restores the group's column order.
-        assert isinstance(flipped.op, Project)
-        assert [c.cid for c in flipped.op.output_columns()] == \
+        assert isinstance(flipped.op, Join)
+        assert flipped.child_groups == list(reversed(original.child_groups))
+        assert [c.cid for c in flipped.op.output_columns()] != \
             [c.cid for c in join.output_columns()]
-        (inner,) = memo.group(flipped.child_groups[0]).exprs
-        assert inner.child_groups == list(reversed(original.child_groups))
+        assert sorted(c.cid for c in flipped.op.output_columns()) == \
+            sorted(c.cid for c in join.output_columns())
+        assert len(memo.groups) == 3  # the two scans and the join
 
     def test_join_enumerate_places_conjuncts_lowest(self):
         a, (ak, _, _) = customer_scan()

@@ -20,8 +20,9 @@ from repro.algebra import (AggregateCall, AggregateFunction, Column,
                            Literal, Project, Select, SegmentRef, equals,
                            plan_fingerprint)
 from repro.analysis import (PlanAnalysisWarning, PlanAnalyzer, RULE_CHECKS,
-                            STRICT, WARN, verify_logical,
-                            verify_oj_simplification, verify_physical)
+                            STRICT, WARN, verify_batch_layout,
+                            verify_logical, verify_oj_simplification,
+                            verify_physical)
 from repro.core.normalize import normalize
 from repro.core.normalize.oj_simplify import simplify_outerjoins
 from repro.core.optimizer.rules import (GroupByPullAboveJoin,
@@ -29,7 +30,8 @@ from repro.core.optimizer.rules import (GroupByPullAboveJoin,
                                         SemiJoinGroupByReorder,
                                         SemiJoinToJoinDistinct)
 from repro.errors import PlanInvariantError
-from repro.physical.plan import PFilter, PIndexSeek, PTableScan
+from repro.physical.plan import (PFilter, PIndexSeek, PSegmentApply,
+                                 PSegmentRef, PTableScan)
 from repro.sql import parse
 
 from .helpers import customer_scan, orders_scan
@@ -248,6 +250,23 @@ class TestRuleApplicationChecks:
             issues = analyzer.check_rule_application(
                 "rule_under_test", gb, truncated)
         assert "rule.schema-changed" in codes(issues)
+
+    def test_schema_check_compares_column_sets(self):
+        # Memo group members deliver one column set in any order: a
+        # reordering passes, a column delivered twice does not.
+        gb = groupby_over_join()
+        columns = gb.output_columns()
+        reordered = Project.passthrough(gb, list(reversed(columns)))
+        doubled = Project(gb, [(c, ColumnRef(c)) for c in columns]
+                          + [(columns[0], ColumnRef(columns[0]))])
+        analyzer = PlanAnalyzer(WARN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PlanAnalysisWarning)
+            assert analyzer.check_rule_application(
+                "rule_under_test", gb, reordered) == []
+            assert "rule.schema-changed" in codes(
+                analyzer.check_rule_application("rule_under_test", gb,
+                                                doubled))
 
     def test_semantic_condition_reverified(self):
         # A forged "pushdown" grouping on a non-key column must trip the
@@ -518,3 +537,27 @@ class TestAdmissionGate:
         monkeypatch.setattr(mod, "_warned_bad_mode", False)
         with pytest.warns(PlanAnalysisWarning):
             assert mod.analysis_mode() == WARN
+
+
+class TestPositionalOrder:
+    """The consumers that read by position get their columns in order."""
+
+    def test_result_order_is_pinned(self):
+        cust, columns = customer_scan()
+        scan = PTableScan("customer", list(columns))
+        assert verify_batch_layout(scan, list(columns)) == []
+        issues = verify_batch_layout(scan, list(reversed(columns)))
+        assert codes(issues) == {"order.result"}
+        assert not PlanAnalyzer(WARN).admissible(
+            Project.passthrough(cust, list(reversed(columns))), scan)
+
+    def test_segmented_input_lines_up_with_its_binding(self):
+        _, columns = orders_scan()
+        mirrors = [c.fresh_copy() for c in columns]
+        right = PSegmentRef(mirrors)
+        aligned = PTableScan("orders", list(columns))
+        plan = PSegmentApply(aligned, right, [columns[1]], mirrors)
+        assert verify_batch_layout(plan) == []
+        swapped = PTableScan("orders", [columns[1], columns[0], columns[2]])
+        plan = PSegmentApply(swapped, right, [columns[1]], mirrors)
+        assert codes(verify_batch_layout(plan)) == {"order.segment-input"}
